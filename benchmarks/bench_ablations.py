@@ -15,11 +15,9 @@ A8  static cost model on/off: cost-guided fusion (REPRO_FUSE_COST=on) vs
     kmeans gradient, and cost-derived shard chunk sizing vs the static
     REPRO_SHARD_MIN_CHUNK/REPRO_SHARD_MAX_TASKS knobs on a map-kind shard
     program — guided must be parity-safe (bitwise) and no slower;
-A9  source codegen vs the closure interpreter: the same plan IR rendered
-    to one compiled Python function (backend=codegen) vs per-instruction
-    closure dispatch (backend=plan) on the A8 GMM gradient and two
-    dispatch-bound scalar loops — bitwise parity asserted, codegen must
-    win outright where dispatch dominates and be no slower elsewhere;
+A9  the plan emitter: hot times of the A8 GMM gradient and two
+    dispatch-bound scalar loops, the rendered source size and compile cost,
+    and the guard that verification never runs on a cached-plan call;
 A10 execution schedules: the cost model's default schedule vs forced
     REPRO_SCHEDULE overrides (all-sequential(64) on plan — bitwise parity
     asserted — and parallel(2) on shard — allclose) on the GMM full
@@ -536,13 +534,12 @@ def test_ablation_a8_cost_model(benchmark, monkeypatch):
     assert s_on == s_mono  # the gate accepted every profitable fusion
 
 
-# --- A9: source codegen vs the closure interpreter -----------------------------------
+# --- A9: the plan emitter (rendered source, compile cost, verify guard) -------
 
 #: Two regimes.  The GMM gradient (A8 scale) is array-bound: NumPy kernels
-#: dominate and codegen only trims the residual per-instruction dispatch.
-#: The scalar loops are dispatch-bound: almost every "instruction" is a
-#: handful of FLOPs, so the closure interpreter's per-op indirection *is*
-#: the cost, and rendering the plan IR to one Python function removes it.
+#: dominate.  The scalar loops are dispatch-bound: almost every instruction
+#: is a handful of FLOPs, so what the rendered source does per instruction
+#: *is* the cost.
 GMM_A9 = GMM_A8
 A9_FORI_ITERS = 512
 A9_WHILE_LIMIT = 1000.0
@@ -572,64 +569,37 @@ def test_ablation_a9_codegen(benchmark):
     fc_while = rp.compile(rp.trace_like(scalar_while, while_args))
 
     workloads = [
-        ("gmm_grad", lambda be: g_gmm(*gmm_args, backend=be), 3),
-        ("scalar_fori", lambda be: fc_fori(*fori_args, backend=be), 7),
-        ("scalar_while", lambda be: fc_while(*while_args, backend=be), 7),
+        ("gmm_grad", lambda: g_gmm(*gmm_args, backend="plan"), 3),
+        ("scalar_fori", lambda: fc_fori(*fori_args, backend="plan"), 7),
+        ("scalar_while", lambda: fc_while(*while_args, backend="plan"), 7),
     ]
 
     clear_plan_cache()
     times = {}
     for name, run, reps in workloads:
-        res_plan = run("plan")
-        res_cg = run("codegen")
-        rp_ = res_plan if isinstance(res_plan, tuple) else (res_plan,)
-        rc = res_cg if isinstance(res_cg, tuple) else (res_cg,)
-        for a, b in zip(rp_, rc):
-            # same lowering, same NumPy call sequence: bitwise, not approximate
-            np.testing.assert_array_equal(np.asarray(a), np.asarray(b))
-        times[name] = (
-            timeit(lambda: run("plan"), repeats=reps),
-            timeit(lambda: run("codegen"), repeats=reps),
-        )
+        run()  # build the plan outside the timed repeats
+        times[name] = timeit(run, repeats=reps)
 
-    em = plan_cache_stats()["emitters"]["codegen"]
-    benchmark(lambda: fc_fori(*fori_args, backend="codegen"))
+    em = plan_cache_stats()["emitters"]["plan"]
+    benchmark(lambda: fc_fori(*fori_args, backend="plan"))
 
     lines = [
-        "A9: source codegen (plan IR -> one compiled Python function) vs the",
-        "closure interpreter (per-instruction dispatch); identical lowering,",
-        "bitwise-equal results asserted on every workload.",
+        "A9: the plan emitter — plan IR rendered to one compiled Python",
+        "function per plan; hot call times, rendered source and compile cost.",
     ]
     rows = []
-    for name, (tp, tc) in times.items():
-        lines.append(
-            f"{name:12s} plan {tp*1000:8.2f} ms, codegen {tc*1000:8.2f} ms "
-            f"({tp/tc:.2f}x)"
-        )
-        rows.append(bench_row(f"{name}/plan", seconds=tp, backend="plan"))
-        rows.append(bench_row(f"{name}/codegen", seconds=tc, backend="codegen"))
+    for name, t in times.items():
+        lines.append(f"{name:12s} plan {t*1000:8.2f} ms")
+        rows.append(bench_row(f"{name}/plan", seconds=t, backend="plan"))
     lines.append(
-        f"codegen cache: {em['code_objects']} code objects, "
+        f"plan cache: {em['code_objects']} code objects, "
         f"{em['source_bytes']} source bytes, compile {em['compile_s']*1000:.1f} ms"
     )
-    lines.append(
-        "dispatch-bound scalar loops must win outright; the array-bound GMM"
-    )
-    lines.append(
-        "gradient must be no slower than the interpreter (NumPy-bound)."
-    )
-    rows.append(bench_row("codegen_cache", backend="codegen",
+    rows.append(bench_row("codegen_cache", backend="plan",
                           code_objects=em["code_objects"],
                           source_bytes=em["source_bytes"],
                           compile_s=em["compile_s"]))
     write_table("ablation_a9_codegen", lines, rows=rows)
-
-    # dispatch-bound: codegen must be >= 1.0x the interpreter, outright
-    assert times["scalar_fori"][1] <= times["scalar_fori"][0], times["scalar_fori"]
-    assert times["scalar_while"][1] <= times["scalar_while"][0], times["scalar_while"]
-    # array-bound: no slower, with headroom for timing noise
-    tp, tc = times["gmm_grad"]
-    assert tc <= tp * 1.15, (tc, tp)
 
     # Verification-cost guard: every REPRO_VERIFY layer runs at *compile*
     # time, so hot cached-plan calls must be unaffected by the knob — the
@@ -639,7 +609,7 @@ def test_ablation_a9_codegen(benchmark):
     from repro.ir.verify import VERIFY_STATS
 
     def run_hot():
-        return fc_fori(*fori_args, backend="codegen")
+        return fc_fori(*fori_args, backend="plan")
 
     env0 = os.environ.get("REPRO_VERIFY")
     try:

@@ -21,20 +21,18 @@ _ROWS = {}
 
 def _record(wname, impl, t):
     _ROWS.setdefault(wname, {})[impl] = t
-    if len(_ROWS) == len(WORKLOADS) and all(len(v) == 4 for v in _ROWS.values()):
+    if len(_ROWS) == len(WORKLOADS) and all(len(v) == 3 for v in _ROWS.values()):
         lines = [
             "Table 3: dense k-means — one Newton step (grad + Hessian diag), seconds",
-            f"{'workload':16s} {'manual':>9s} {'ours(AD)':>9s} {'ours(cg)':>9s} {'tape':>9s}",
+            f"{'workload':16s} {'manual':>9s} {'ours(AD)':>9s} {'tape':>9s}",
         ]
         for w, v in _ROWS.items():
             lines.append(
-                f"{w:16s} {v['manual']:9.4f} {v['ours']:9.4f} "
-                f"{v['ours_cg']:9.4f} {v['tape']:9.4f}"
+                f"{w:16s} {v['manual']:9.4f} {v['ours']:9.4f} {v['tape']:9.4f}"
             )
         lines.append("paper: manual 9.3/9.9 ms, Futhark-AD 36.6/9.6 ms, PyTorch 44.9/11.2 ms (A100)")
         rows = [
-            bench_row(f"{w}/{impl}", seconds=t,
-                      backend="codegen" if impl == "ours_cg" else None)
+            bench_row(f"{w}/{impl}", seconds=t)
             for w, v in _ROWS.items()
             for impl, t in v.items()
         ]
@@ -52,21 +50,6 @@ def test_table3_ours(benchmark, wname):
 
     benchmark(step)
     _record(wname, "ours", timeit(step))
-
-
-@pytest.mark.parametrize("wname", list(WORKLOADS))
-def test_table3_ours_codegen(benchmark, wname):
-    """The same AD step with the plan IR rendered to source (``codegen``):
-    per-instruction dispatch eliminated, results bitwise-equal to ``plan``."""
-    k, n, d = WORKLOADS[wname]
-    (pts, ctr), fc, g, h = kmeans_setup(k, n, d)
-
-    def step():
-        g(pts, ctr, backend="codegen")
-        h(pts, ctr, backend="codegen")
-
-    benchmark(step)
-    _record(wname, "ours_cg", timeit(step))
 
 
 @pytest.mark.parametrize("wname", list(WORKLOADS))

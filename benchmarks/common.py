@@ -7,13 +7,12 @@ Every table file writes a paper-style text table to
 and records the paper's reported numbers next to ours.
 
 All "ours" rows run on the plan-compiled backend by default (lowered once,
-cached per shape signature — see ``repro.exec.plan``), which is what the
-paper's compiled-bulk-code numbers correspond to.  ``REPRO_BENCH_BACKEND``
-selects any registered backend instead: ``vec``/``ref`` to measure the
-interpreters, ``codegen`` to run plan IR rendered to compiled Python source
-(no per-instruction dispatch, bitwise-equal to ``plan``), ``shard`` to
-spread the dominant SOAC (and the batched seed axes) across the worker
-pool (``REPRO_SHARD_WORKERS``/``REPRO_SHARD_MODE``).
+compiled to one Python function, cached per shape signature — see
+``repro.exec.plan``), which is what the paper's compiled-bulk-code numbers
+correspond to.  ``REPRO_BENCH_BACKEND`` selects any registered backend
+instead: ``ref`` to measure the reference interpreter, ``shard`` to spread
+the dominant SOAC (and the batched seed axes) across the worker pool
+(``REPRO_SHARD_WORKERS``/``REPRO_SHARD_MODE``).
 Unknown names fail at import with the registered set listed.
 """
 from __future__ import annotations
@@ -53,18 +52,31 @@ def on_bench_backend(f: Callable) -> Callable:
     return functools.partial(f, backend=BENCH_BACKEND)
 
 
+class Measurement(float):
+    """The median wall-clock seconds of one ``timeit`` call, carrying that
+    call's per-phase span breakdown (``phases``: lower/emit/compile/execute…
+    seconds) and obs-counter delta (``obs``).  Arithmetic on it gives plain
+    floats: a derived number belongs to no single measurement."""
+
+    def __new__(cls, seconds: float, phases: dict, obs_delta: dict) -> "Measurement":
+        m = super().__new__(cls, seconds)
+        m.phases = phases
+        m.obs = obs_delta
+        return m
+
+
 def bench_row(name: str, seconds: Optional[float] = None, backend: Optional[str] = None, **extra) -> dict:
     """One machine-readable benchmark row for ``write_table(rows=...)``:
     a measurement name, the backend it ran on, its wall-clock seconds (None
     for rows recording non-time metrics), plus free-form extra fields.
 
-    Timed rows additionally carry the per-phase span breakdown (``phases``:
-    lower/emit/compile/execute… seconds) and the obs-counter delta (``obs``)
-    of the most recent ``timeit`` measurement."""
-    row = {"name": name, "backend": backend or BENCH_BACKEND, "seconds": seconds}
-    if seconds is not None and _LAST_MEASUREMENT is not None:
-        row.setdefault("phases", _LAST_MEASUREMENT["phases"])
-        row.setdefault("obs", _LAST_MEASUREMENT["obs"])
+    When ``seconds`` is the ``Measurement`` a ``timeit`` call returned, the
+    row also carries that measurement's ``phases`` and ``obs``."""
+    row = {"name": name, "backend": backend or BENCH_BACKEND,
+           "seconds": None if seconds is None else float(seconds)}
+    if isinstance(seconds, Measurement):
+        row["phases"] = seconds.phases
+        row["obs"] = seconds.obs
     row.update(extra)
     return row
 
@@ -98,24 +110,12 @@ def write_table(name: str, lines, rows=None) -> None:
     print("\n" + text)
 
 
-#: Phase/obs breakdown of the most recent ``timeit`` call (attached to the
-#: next ``bench_row`` with a ``seconds`` value; see ``last_measurement``).
-_LAST_MEASUREMENT: Optional[dict] = None
+def timeit(f: Callable, *args, repeats: int = 3) -> Measurement:
+    """Median wall-clock seconds of ``f(*args)``, as a ``Measurement``.
 
-
-def last_measurement() -> Optional[dict]:
-    """``{"phases": {span: {count, seconds}}, "obs": counter deltas}`` for
-    the most recent ``timeit`` measurement, or None before the first one."""
-    return _LAST_MEASUREMENT
-
-
-def timeit(f: Callable, *args, repeats: int = 3) -> float:
-    """Median wall-clock seconds of ``f(*args)``.
-
-    Each measurement runs under span collection (``obs.tracing``), so a
-    per-phase time breakdown and the delta of every obs counter across the
-    repeats are recorded as a side effect (``last_measurement()``)."""
-    global _LAST_MEASUREMENT
+    The repeats run under span collection (``obs.tracing``), so the result
+    also carries their per-phase time breakdown and the delta of every obs
+    counter across them; pass it to ``bench_row`` as ``seconds``."""
     ts = []
     with obs_tracing.collecting():
         p0 = obs_tracing.phase_totals()
@@ -126,11 +126,7 @@ def timeit(f: Callable, *args, repeats: int = 3) -> float:
             ts.append(time.perf_counter() - t0)
         p1 = obs_tracing.phase_totals()
         s1 = obs.snapshot()
-    _LAST_MEASUREMENT = {
-        "phases": obs.delta(p0, p1),
-        "obs": obs.delta(s0, s1),
-    }
-    return float(np.median(ts))
+    return Measurement(float(np.median(ts)), obs.delta(p0, p1), obs.delta(s0, s1))
 
 
 # ---------------------------------------------------------------------------

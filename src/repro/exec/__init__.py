@@ -1,13 +1,9 @@
-"""Executors: reference interpreter, vectorised SIMT simulator, the plan
-family (shared lowering in ``lower``, closure emitter in ``plan``, source
-codegen emitter in ``codegen``), the sharded parallel executor, and the
-cost model — all resolvable by name through the backend registry."""
-from .codegen import (  # noqa: F401
-    CodegenPlan,
-    compile_codegen,
-    run_fun_codegen,
-    run_fun_codegen_batched,
-)
+"""Executors: the reference interpreter (the semantics oracle), the plan
+backend (shared lowering in ``lower``, source rendering in ``codegen``,
+compiled plans and their cache in ``plan``, the batched-value runtime in
+``vector``), the sharded parallel executor, and the cost model — all
+resolvable by name through the backend registry."""
+from .codegen import CodegenPlan, compile_codegen  # noqa: F401
 from .cost import Cost, CostRecorder  # noqa: F401
 from .interp import RefInterp, run_fun  # noqa: F401
 from .lower import PlanIR, lower_fun, lower_specialized  # noqa: F401
@@ -39,4 +35,3 @@ from .shard import (  # noqa: F401
     shutdown_shard_pool,
 )
 from .values import AccVal, coerce_arg, zeros_of  # noqa: F401
-from .vector import VecInterp, run_fun_vec, run_fun_vec_batched  # noqa: F401

@@ -1,12 +1,10 @@
-"""Backend-neutral lowering: ``Fun`` + static shape facts → linear plan IR.
+"""Lowering: ``Fun`` + static shape facts → linear plan IR.
 
-Until PR 6 the plan backend lowered and *emitted* in one pass —
-``_PlanCompiler`` walked the AST and directly built instruction closures, so
-every compile-time decision (slot allocation, scalar-run fusion, SOAC
-fast-path recognition, specialisation folds) was welded to one execution
-strategy.  This module factors those decisions out into an explicit **plan
-IR**: a flat sequence of instruction records over a slot-numbered register
-space, with every statically resolvable choice already made:
+Every compile-time decision of the plan backend (slot allocation,
+scalar-run fusion, SOAC fast-path recognition, specialisation folds) is
+made here, once, into an explicit **plan IR**: a flat sequence of
+instruction records over a slot-numbered register space, with every
+statically resolvable choice already made:
 
 * atoms resolve to slots (``Ref`` with a slot index) or prebuilt scalar
   ``BV`` constants;
@@ -19,14 +17,11 @@ space, with every statically resolvable choice already made:
 * with tier-2 ``StaticInfo`` facts, ``Size`` folds to a constant, iota /
   replicate / histogram extents become compile-time ints (small iotas are
   prebuilt outright), and reduce lowering picks its variant by the known
-  extent (``ext`` on the node; the emitters compile dead branches away).
+  extent (``ext`` on the node; the emitter compiles dead branches away).
 
-Emitters consume the IR without re-deciding anything: ``exec/plan.py`` emits
-one Python closure per instruction (the interpreter), ``exec/codegen.py``
-renders the same IR to the source of a single Python function
-(``backend="codegen"``).  Sharing the lowering is what makes the two
-backends bitwise-identical by construction — they execute the same NumPy
-calls in the same order, only dispatched differently.
+The emitter (``exec/codegen.py``) renders the IR to the source of one
+Python function without re-deciding anything; the static verifier
+(``exec/verify_plan.py``) and the profiler key off the same records.
 """
 from __future__ import annotations
 
@@ -37,6 +32,7 @@ import numpy as np
 from ..ir.analysis import (
     StaticInfo,
     infer_static_shapes,
+    ne_is_identity,
     recognize_binop_lambda,
     recognize_redomap_lambda,
 )
@@ -80,7 +76,7 @@ from ..ir.traversal import free_vars_exp
 from ..ir.types import np_dtype
 from ..obs import tracing as _tracing
 from ..util import ExecError
-from .vector import BV, _ne_is_identity
+from .vector import BV
 
 __all__ = [
     "Ref",
@@ -261,7 +257,7 @@ class IConcat(_Instr):
 
 class IMap(_Instr):
     """``chunk > 1`` realises a ``sequential(chunk)`` schedule directive:
-    the emitters slice the (acc-free, top-level, unmasked) map into in-order
+    the emitter slices the (acc-free, top-level, unmasked) map into in-order
     chunks of that extent and concatenate the payloads — bitwise-identical
     to the bulk path because elementwise NumPy slices compose exactly."""
 
@@ -574,7 +570,7 @@ class _Lowerer:
         e = stm.exp
         if isinstance(e, _RUN_FUSIBLE):
             # A standalone scalar statement is a fused run of length 1 with
-            # one export (shared scalar handlers in the emitters).
+            # one export (shared scalar handlers in the emitter).
             op = self._lower_run_exp(e, {})
             out = self.out_of(stm)
             return IRun((op,), ((0,) + out,))
@@ -686,7 +682,7 @@ class _Lowerer:
         if op is not None:
             return IReduce(
                 "ufunc", arrs, nes, outs, op=op,
-                fold=not _ne_is_identity(op, e.nes[0]),
+                fold=not ne_is_identity(op, e.nes[0]),
                 ext=self.static_extent(e.arrs),
             )
         rm = recognize_redomap_lambda(e.lam) if len(e.nes) == 1 else None
@@ -698,7 +694,7 @@ class _Lowerer:
             mparams, mbody = self._lower_map_part(mlam)
             return IReduce(
                 "redomap", arrs, nes, outs, op=mop,
-                fold=not _ne_is_identity(mop, e.nes[0]), ext=ext,
+                fold=not ne_is_identity(mop, e.nes[0]), ext=ext,
                 mparams=mparams, mbody=mbody,
             )
         return IReduce(
@@ -714,7 +710,7 @@ class _Lowerer:
         if op is not None:
             return IScan(
                 "ufunc", arrs, nes, outs, op=op,
-                fold=not _ne_is_identity(op, e.nes[0]),
+                fold=not ne_is_identity(op, e.nes[0]),
             )
         rm = recognize_redomap_lambda(e.lam) if len(e.nes) == 1 else None
         if rm is not None:
@@ -723,7 +719,7 @@ class _Lowerer:
             mparams, mbody = self._lower_map_part(mlam)
             return IScan(
                 "redomap", arrs, nes, outs, op=mop,
-                fold=not _ne_is_identity(mop, e.nes[0]), ext=ext,
+                fold=not ne_is_identity(mop, e.nes[0]), ext=ext,
                 mparams=mparams, mbody=mbody,
             )
         return IScan(

@@ -1,22 +1,16 @@
 """Pluggable executor-backend registry.
 
-Until PR 3 the backend set was a hard-coded ``"ref"|"vec"|"plan"`` string
-check repeated in ``core/api.py``, ``frontend/function.py`` and the
-benchmark wiring — adding the shard executor would have meant touching every
-one of them (and any future backend the same again).  This module makes the
-backend set data: a ``Backend`` record bundles the two executor entry points
-with its capability flags, and every dispatch site resolves names through
-``get_backend`` — which also gives unknown-backend errors one helpful shape
-(the requested name plus the currently-registered set) instead of failing
-deep inside dispatch.
+A ``Backend`` record bundles an executor's entry points with its
+capability flags, and every dispatch site (``Compiled.__call__``, the AD
+wrappers, the benchmark wiring) resolves names through ``get_backend`` —
+which also gives unknown-backend errors one helpful shape (the requested
+name plus the registered set) instead of failing deep inside dispatch.
 
 Built-in backends, registered at import:
 
-* ``vec``   — the vectorised SIMT simulator (re-interprets the IR per call);
 * ``ref``   — the reference interpreter (semantics oracle, cost model);
-* ``plan``  — the cached plan compiler (lower once, replay closures);
-* ``codegen`` — the source codegen executor (same lowering, plan IR rendered
-  to one compiled Python function; see ``exec/codegen.py``);
+* ``plan``  — the plan compiler: lower once, render the plan IR to one
+  Python function, compile it, cache it (``exec/plan.py``);
 * ``shard`` — the sharded parallel executor (chunked plan execution on a
   worker pool; see ``exec/shard.py``).
 
@@ -142,8 +136,7 @@ def default_backend() -> str:
     dispatch, naming the registered set.  ``Compiled.__call__``,
     ``call_batched`` and the ``grad``/``value_and_grad``/``jacobian``/
     ``hessian_diag`` wrappers all resolve ``backend=None`` through this one
-    function — the former per-entry-point defaults drifted ("vec" here,
-    "plan" there).
+    function, so the entry points cannot drift apart.
     """
     return get_backend(os.environ.get("REPRO_BACKEND", DEFAULT_BACKEND)).name
 
@@ -170,19 +163,9 @@ def _run_ref(fun: Fun, args: Sequence[object]) -> Tuple[object, ...]:
 
 
 def _register_builtins() -> None:
-    from .codegen import run_fun_codegen, run_fun_codegen_batched
     from .plan import run_fun_plan, run_fun_plan_batched
     from .shard import run_fun_shard, run_fun_shard_batched
-    from .vector import run_fun_vec, run_fun_vec_batched
 
-    register_backend(
-        Backend(
-            "vec",
-            run=run_fun_vec,
-            run_batched=run_fun_vec_batched,
-            description="vectorised SIMT simulator (re-interprets per call)",
-        )
-    )
     register_backend(
         Backend(
             "ref",
@@ -195,15 +178,7 @@ def _register_builtins() -> None:
             "plan",
             run=run_fun_plan,
             run_batched=run_fun_plan_batched,
-            description="cached plan compiler (lower once, replay closures)",
-        )
-    )
-    register_backend(
-        Backend(
-            "codegen",
-            run=run_fun_codegen,
-            run_batched=run_fun_codegen_batched,
-            description="source codegen (plan IR compiled to one Python function)",
+            description="plan compiler (plan IR rendered to one compiled Python function)",
         )
     )
     register_backend(

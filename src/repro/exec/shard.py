@@ -1,12 +1,13 @@
 """Sharded parallel executor — the ``parallel`` schedule directive's runtime.
 
-The plan backend (``exec/plan.py``) runs a whole program as one sequence of
-NumPy closures — fast, but single-threaded: one ufunc loop at a time.  This
-module is the multi-core layer above it, realising the ``parallel``
-directive of the schedule IR (``ir/schedule.py``): the leading axis of the
-program's dominant data-parallel SOAC becomes a *parallel* loop over a
-persistent worker pool, and each chunk still executes as bulk *vectorized*
-plan code — the ``parallel(w)·vectorized`` split of JAX's ``gmap``.
+The plan backend (``exec/plan.py``) runs a whole program as one compiled
+sequence of NumPy calls — fast, but single-threaded: one ufunc loop at a
+time.  This module is the multi-core layer above it, realising the
+``parallel`` directive of the schedule IR (``ir/schedule.py``): the leading
+axis of the program's dominant data-parallel SOAC becomes a *parallel* loop
+over a persistent worker pool, and each chunk still executes as bulk
+*vectorized* plan code — the ``parallel(w)·vectorized`` split of JAX's
+``gmap``.
 
 Execution model
 ---------------
@@ -53,18 +54,14 @@ persistent pool; ``REPRO_SHARD_MODE`` selects it:
   chunks of every extent share one tier-1 shape-generic lowering, and hot
   chunk-extent buckets are promoted to tier-2 specialised plans —
   ``Plan.run`` keeps all mutable state per call, so concurrent runs are
-  safe.  ``REPRO_SHARD_EMITTER`` (``plan``/``codegen``) selects which
-  plan-family emitter chunks compile with; unset, chunks run codegen-
-  compiled exactly when the session backend is ``codegen``.
+  safe.
 * ``process`` — a spawn-based ``ProcessPoolExecutor`` for workloads whose
   Python-side dispatch would serialise on the GIL.  ndarray inputs/outputs
   travel through ``multiprocessing.shared_memory`` segments (pickled inline
-  below ``REPRO_SHARD_SHM_MIN`` bytes); each worker caches built plans by
-  the dispatched program's ``ir_hash`` so a function ships per call but is
-  built once per worker.  With ``REPRO_SHARD_EMITTER=codegen`` (or a
-  ``codegen`` session backend) the parent ships generated source plus the
-  injected constants instead of pickled IR, and workers ``compile()`` it
-  (``exec/codegen.py``'s ``ShippedCodegenPlan``).  A pool-infrastructure
+  below ``REPRO_SHARD_SHM_MIN`` bytes).  The parent ships the chunk
+  program's generated source plus its injected constants, and each worker
+  ``compile()``s it once (``exec/codegen.py``'s ``ShippedCodegenPlan``),
+  caching built plans by the program's ``ir_hash``.  A pool-infrastructure
   failure (a broken worker, spawn unavailable, an unpicklable environment)
   is counted in ``shard_stats()["pool_errors"]`` and degrades the call to
   the thread path (serial in-process when one worker is configured) — but
@@ -101,8 +98,9 @@ from ..ir.analysis import ParallelSplit, ir_hash, parallel_split
 from ..ir.ast import Fun
 from ..ir.cost_model import soac_elem_cost, task_grain
 from ..obs import metrics as _obs_metrics, tracing as _obs_tracing
-from ..util import BoundedLRU, ReproError, env_capacity
-from .plan import Plan, plan_for, profile_enabled, run_fun_plan, run_fun_plan_batched
+from ..util import BoundedLRU, env_capacity, env_choice
+from .codegen import ShippedCodegenPlan, codegen_payload
+from .plan import plan_for, run_fun_plan, run_fun_plan_batched
 from .vector import _UFUNC
 
 __all__ = [
@@ -134,8 +132,7 @@ def shard_workers() -> int:
 
 def shard_mode() -> str:
     """``REPRO_SHARD_MODE``: ``thread`` (default) or ``process``."""
-    mode = os.environ.get("REPRO_SHARD_MODE", "thread")
-    return mode if mode in ("thread", "process") else "thread"
+    return env_choice("REPRO_SHARD_MODE", "thread", ("thread", "process"))
 
 
 def _min_chunk() -> int:
@@ -161,31 +158,6 @@ def _max_tasks() -> int:
 def _shm_min() -> int:
     """Bytes below which process-mode values travel by pickle, not shm."""
     return env_capacity("REPRO_SHARD_SHM_MIN", 16384)
-
-
-def _chunk_emitter() -> str:
-    """Which plan-family emitter shard chunks compile with.
-
-    ``REPRO_SHARD_EMITTER`` picks explicitly (``plan`` or ``codegen``);
-    unset, chunks follow the session default — codegen-compiled when the
-    session backend is ``codegen``, profile-instrumented when
-    ``REPRO_PROFILE`` is on (so sharded execute time stays attributed),
-    closure plans otherwise.  Process-mode workers honour ``codegen`` by
-    compiling shipped generated source (``exec/codegen.py``'s
-    ``ShippedCodegenPlan`` — closure code objects do not pickle, source
-    text does); the ``profile`` emitter is thread-side only, so process
-    workers map it to plain ``Plan``s.
-    """
-    em = os.environ.get("REPRO_SHARD_EMITTER")
-    if em is not None:
-        if em not in ("plan", "codegen"):
-            raise ReproError(
-                f"REPRO_SHARD_EMITTER={em!r}: expected 'plan' or 'codegen'"
-            )
-        return em
-    if os.environ.get("REPRO_BACKEND") == "codegen":
-        return "codegen"
-    return "profile" if profile_enabled() else "plan"
 
 
 # ---------------------------------------------------------------------------
@@ -472,13 +444,11 @@ def _encode_arg(a, memo: dict, holds: list):
     return ("raw", a)
 
 
-#: Worker-side cache of built plans, keyed ``f"{ir_hash(fun)}:{kind}"`` —
-#: the dispatched program's content hash (schedule bytes included) plus the
-#: plan kind, so a worker-lowered ``Plan`` and a codegen-shipped build of
-#: the same program never collide.  A true LRU (shared ``util.BoundedLRU``,
-#: like every other cache in the system) so a long session cycling through
-#: many functions evicts cold plans one at a time instead of wiping the
-#: hot set.
+#: Worker-side cache of built plans, keyed by the dispatched program's
+#: content hash (schedule bytes included).  A true LRU (shared
+#: ``util.BoundedLRU``, like every other cache in the system) so a long
+#: session cycling through many functions evicts cold plans one at a time
+#: instead of wiping the hot set.
 _WORKER_PLANS = BoundedLRU()
 _WORKER_PLANS_CAP = 128
 
@@ -514,18 +484,12 @@ def _encode_result(r):
 def _process_task(payload):
     """Worker entry: decode args, run the (cached) plan, encode results.
 
-    ``kind`` selects how the blob becomes a runnable plan: ``"plan"`` ships
-    pickled IR and lowers worker-side; ``"codegen"`` ships generated source
-    plus injected constants and ``compile()``s it — no IR, no lowering."""
-    key, kind, blob, specs, batched, batch_n = payload
+    ``blob`` is a ``codegen_payload``: generated source plus its injected
+    constants, ``compile()``d on first use — no IR, no lowering."""
+    key, blob, specs, batched, batch_n = payload
     plan = _WORKER_PLANS.get(key)
     if plan is None:
-        if kind == "codegen":
-            from .codegen import ShippedCodegenPlan
-
-            plan = ShippedCodegenPlan(blob)
-        else:
-            plan = Plan(pickle.loads(blob))
+        plan = ShippedCodegenPlan(blob)
         _WORKER_PLANS.put(key, plan, _WORKER_PLANS_CAP)
     opened: list = []
     try:
@@ -593,14 +557,8 @@ def _dispatch_process(
     schedule: str = "",
 ):
     pool = _get_pool("process", workers)
-    kind = "codegen" if _chunk_emitter() == "codegen" else "plan"
-    if kind == "codegen":
-        from .codegen import codegen_payload
-
-        blob = codegen_payload(fun)
-    else:
-        blob = pickle.dumps(fun)
-    key = f"{ir_hash(fun)}:{kind}"
+    blob = codegen_payload(fun)
+    key = ir_hash(fun)
     memo: dict = {}
     holds: list = []
     try:
@@ -625,7 +583,6 @@ def _dispatch_process(
                         _process_task,
                         (
                             key,
-                            kind,
                             blob,
                             specs,
                             batched,
@@ -686,7 +643,7 @@ def _dispatch(
     this module's former private plan-sharing), and hot chunk-extent
     buckets get promoted to tier-2 specialised plans (``plan_for`` is
     thread-safe, so pool workers resolve concurrently).  Process mode ships
-    the pickled ``Fun`` plus shm descriptors to ``_process_task``.  Results
+    the generated source plus shm descriptors to ``_process_task``.  Results
     always come back in chunk order.
     """
     workers = workers or shard_workers()
@@ -715,8 +672,6 @@ def _dispatch(
             shutdown_shard_pool()
             _degrade_process()
 
-    emitter = _chunk_emitter()
-
     def run_chunk(i, args, bn=None):
         extent = bounds[i][1] - bounds[i][0] if bounds is not None else bn
         # Runs on the pool worker, so the span's tid/worker name attribute
@@ -731,7 +686,7 @@ def _dispatch(
             worker=threading.current_thread().name,
             schedule=schedule or None,
         ):
-            plan = plan_for(fun, args, batched, backend="shard", emitter=emitter)
+            plan = plan_for(fun, args, batched, backend="shard")
             if batched is None:
                 return plan.run(args)
             return plan.run_batched(args, batched, bn)

@@ -1,11 +1,12 @@
-"""Vectorised interpreter — the "GPU" of this reproduction.
+"""The batched-value runtime — the "GPU" of this reproduction.
 
-Evaluates ``map`` nests by *batching* instead of looping: entering a ``map``
-pushes a batch level, lambda parameters become whole NumPy arrays with a
-leading batch axis, and every scalar statement of the (possibly deeply
-nested) lambda body executes as one bulk NumPy op over all iterations at
-once.  This is the flattening execution model the paper relies on (§4.1):
-perfectly nested maps cost one bulk operation per scalar statement.
+Plans (``exec/plan.py``) evaluate ``map`` nests by *batching* instead of
+looping: entering a ``map`` pushes a batch level, lambda parameters become
+whole NumPy arrays with a leading batch axis, and every scalar statement of
+the (possibly deeply nested) lambda body executes as one bulk NumPy op over
+all iterations at once.  This is the flattening execution model the paper
+relies on (§4.1): perfectly nested maps cost one bulk operation per scalar
+statement.
 
 Divergent control flow is executed SIMT-style:
 
@@ -19,61 +20,28 @@ Divergent control flow is executed SIMT-style:
   with inactive lanes contributing zero.
 
 Batched values are ``BV(data, bdims)``: ``data`` carries ``bdims`` leading
-batch axes aligned with the interpreter's batch-size stack.  Batch axes may
-have size 1 (kept broadcastable); values are only materialised to full batch
+batch axes aligned with the engine's batch-size stack.  Batch axes may have
+size 1 (kept broadcastable); values are only materialised to full batch
 extent where in-place writes require ownership.
+
+This module holds the value types, the shared primitives, and one helper
+per plan-IR instruction that generated plan source calls
+(``exec/codegen.py``).  Irregular nested parallelism (an extent that varies
+across lanes) is rejected with ``ExecError``; the reference interpreter
+handles it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..ir.analysis import (
-    OP_IDENTITY as _OP_IDENTITY,
-    ne_is_identity as _ne_is_identity,
-    recognize_binop_lambda,
-    recognize_redomap_lambda,
-)
-from ..ir.ast import (
-    AtomExp,
-    Atom,
-    BinOp,
-    Body,
-    Cast,
-    Concat,
-    Exp,
-    Fun,
-    If,
-    Index,
-    Iota,
-    Loop,
-    Map,
-    Reduce,
-    ReduceByIndex,
-    Replicate,
-    Reverse,
-    Scan,
-    Scatter,
-    ScratchLike,
-    Select,
-    Size,
-    UnOp,
-    UpdAcc,
-    Update,
-    Var,
-    WhileLoop,
-    WithAcc,
-    ZerosLike,
-)
-from ..ir.types import np_dtype
 from ..util import ExecError
 from . import values as _values
-from .prims import apply_binop, apply_unop, cast_to
-from .values import coerce_arg
+from .prims import cast_to
 
-__all__ = ["VecInterp", "run_fun_vec", "run_fun_vec_batched", "BV", "AccBV"]
+__all__ = ["BV", "AccBV"]
 
 _UFUNC = {"add": np.add, "mul": np.multiply, "min": np.minimum, "max": np.maximum}
 
@@ -88,12 +56,6 @@ def _neutral_of(op: str, dt: np.dtype):
         return dt.type(np.inf if op == "min" else -np.inf)
     info = np.iinfo(dt)
     return dt.type(info.max if op == "min" else info.min)
-
-
-# The specialisable-op identity table and the syntactic ne-is-identity test
-# live in ir/analysis.py (imported above as _OP_IDENTITY/_ne_is_identity):
-# the shardability analysis substitutes chunk neutral elements from the same
-# table, and the two must never diverge.
 
 
 @dataclass
@@ -156,11 +118,9 @@ def _grids(prefix: Tuple[int, ...], extra: int = 0) -> Tuple[np.ndarray, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Runtime primitives shared with the plan compiler (exec/plan.py)
-#
-# These are state-generic: ``state`` is any object with ``bstack``/``mask``
-# attributes (a ``VecInterp`` or a plan ``_Engine``).  Keeping one copy here
-# is what guarantees the two backends cannot drift semantically.
+# Shared primitives.  ``state``/``eng`` is the per-call engine: any object
+# with ``bstack`` (batch-size stack) and ``mask`` (predication mask or None)
+# attributes.
 # ---------------------------------------------------------------------------
 
 
@@ -250,610 +210,467 @@ def _batch_args(state, vs: Sequence[BV]) -> Tuple[List[BV], int]:
     return params, int(n or 0)
 
 
-class VecInterp:
-    """Vectorising evaluator (one instance per call; not reentrant)."""
+# ---------------------------------------------------------------------------
+# Instruction runtime: what generated plan source calls
+#
+# ``exec/codegen.py`` renders control flow, fused scalar runs and slot moves
+# inline and every other plan-IR instruction as one call to the helper
+# below that holds its NumPy sequence.
+# ---------------------------------------------------------------------------
 
-    def __init__(self) -> None:
-        self.bstack: List[int] = []
-        self.mask: Optional[BV] = None  # boolean BV with payload rank 0
 
-    # -- entry ----------------------------------------------------------------
+def _cast(v: BV, dt) -> BV:
+    return BV(cast_to(v.data, dt), v.bdims)
 
-    def run(self, fun: Fun, args: Sequence[object]) -> Tuple[object, ...]:
-        if len(args) != len(fun.params):
-            raise ExecError(
-                f"{fun.name}: expected {len(fun.params)} arguments, got {len(args)}"
-            )
-        env: Dict[str, object] = {}
-        for p, a in zip(fun.params, args):
-            env[p.name] = BV(np.asarray(coerce_arg(a, p.type)), 0)
-        with np.errstate(all="ignore"):
-            res = self.eval_body(fun.body, env)
-        out = []
-        for r in res:
-            if isinstance(r, AccBV):
-                raise ExecError("accumulator escaped to top level")
-            d = np.asarray(r.data)
-            out.append(d if d.ndim else d[()])
-        return tuple(out)
 
-    # -- environment --------------------------------------------------------------
+def _zeros_like(v: BV) -> BV:
+    return BV(np.zeros_like(np.asarray(v.data)), v.bdims)
 
-    def atom(self, a: Atom, env):
-        if isinstance(a, Var):
-            try:
-                return env[a.name]
-            except KeyError:
-                raise ExecError(f"unbound variable {a.name}") from None
-        return BV(np.asarray(np_dtype(a.type)(a.value)), 0)
 
-    def eval_body(self, body: Body, env) -> Tuple[object, ...]:
-        for stm in body.stms:
-            vals = self.eval_exp(stm.exp, env)
-            if len(vals) != len(stm.pat):
-                raise ExecError(f"statement binds {len(stm.pat)} vars, got {len(vals)}")
-            for v, val in zip(stm.pat, vals):
-                env[v.name] = val
-        return tuple(self.atom(r, env) for r in body.result)
+def _update(eng, arr: BV, idxs, val: BV) -> BV:
+    k = max([arr.bdims, val.bdims] + [i.bdims for i in idxs])
+    if eng.mask is not None:
+        k = max(k, eng.mask.bdims)
+    # Materialise the destination at full batch size: each lane owns a
+    # private copy (functional semantics), so lanes never collide.
+    bshape = tuple(eng.bstack[:k])
+    ad = _expand(arr, k)
+    ad = np.broadcast_to(ad, bshape + ad.shape[k:]).copy()
+    sel = _grids(bshape) + tuple(
+        np.clip(_expand(i, k), 0, max(ad.shape[k + a] - 1, 0))
+        for a, i in enumerate(idxs)
+    )
+    vd = _expand(val, k)
+    if eng.mask is None:
+        ad[sel] = vd
+    else:
+        old = ad[sel]
+        md = _expand(eng.mask, k)
+        md = md.reshape(md.shape + (1,) * (old.ndim - md.ndim))
+        ad[sel] = np.where(md, vd, old)
+    return BV(ad, k)
 
-    # -- masking / elementwise (shared module-level primitives) ----------------------
 
-    _combine_mask = staticmethod(_combine_mask)
+def _replicate(n: int, v: BV) -> BV:
+    d = np.asarray(v.data)
+    d2 = np.expand_dims(d, axis=v.bdims)
+    shape = d.shape[: v.bdims] + (n,) + d.shape[v.bdims:]
+    return BV(np.broadcast_to(d2, shape).copy(), v.bdims)
 
-    def _mask_where(self, v: np.ndarray, k: int, neutral) -> np.ndarray:
-        return _mask_where(self, v, k, neutral)
 
-    def _elem(self, f, *vs) -> BV:
-        return _elem(f, *vs)
+def _scratch(eng, nv: BV, v: BV) -> BV:
+    # Checkpoint buffers may have lane-varying logical extents (loops with
+    # data-dependent trip counts); allocate the maximum — the slack is never
+    # read back.
+    nd = np.asarray(nv.data)
+    n = 0 if nd.size == 0 else int(nd.max())
+    bshape = tuple(eng.bstack)
+    dt = np.asarray(v.data).dtype
+    return BV(np.zeros(bshape + (n,) + v.pshape(), dtype=dt), len(bshape))
 
-    def _where(self, c: BV, t, f):
-        return _where(c, t, f)
 
-    # -- expressions ------------------------------------------------------------------------
+def _size(v, dim: int) -> BV:
+    if isinstance(v, AccBV):
+        return BV(np.asarray(np.int64(v.data.shape[v.bdims:][dim])), 0)
+    return BV(np.asarray(np.int64(v.pshape()[dim])), 0)
 
-    def eval_exp(self, e: Exp, env) -> Tuple[object, ...]:
-        if isinstance(e, AtomExp):
-            return (self.atom(e.x, env),)
 
-        if isinstance(e, UnOp):
-            return (self._elem(lambda d: apply_unop(e.op, d), self.atom(e.x, env)),)
+def _reverse(v: BV) -> BV:
+    return BV(np.flip(np.asarray(v.data), axis=v.bdims).copy(), v.bdims)
 
-        if isinstance(e, BinOp):
-            return (
-                self._elem(
-                    lambda a, b: apply_binop(e.op, a, b),
-                    self.atom(e.x, env),
-                    self.atom(e.y, env),
-                ),
-            )
 
-        if isinstance(e, Select):
-            return (
-                self._where(
-                    self.atom(e.c, env), self.atom(e.t, env), self.atom(e.f, env)
-                ),
-            )
+def _concat(x: BV, y: BV) -> BV:
+    (dx, dy), k, _ = _align([x, y])
+    bx = np.broadcast_shapes(dx.shape[:k], dy.shape[:k])
+    dx = np.broadcast_to(dx, bx + dx.shape[k:])
+    dy = np.broadcast_to(dy, bx + dy.shape[k:])
+    return BV(np.concatenate([dx, dy], axis=k), k)
 
-        if isinstance(e, Cast):
-            v = self.atom(e.x, env)
-            return (BV(cast_to(v.data, np_dtype(e.to)), v.bdims),)
 
-        if isinstance(e, Index):
-            return (self._gather(self.atom(e.arr, env), [self.atom(i, env) for i in e.idx]),)
+# -- SOAC entry/exit ---------------------------------------------------------
 
-        if isinstance(e, Update):
-            return (self._update(e, env),)
 
-        if isinstance(e, Iota):
-            n = self._static_int(e.n, env, "iota length")
-            return (BV(np.arange(n, dtype=np_dtype(e.elem)), 0),)
+def _args(eng, vs) -> Tuple[int, int, List[BV]]:
+    """SOAC entry: the current batch depth ``d``, the common extent ``n``,
+    and the arguments with their leading axis moved to batch depth
+    ``d + 1``."""
+    d = len(eng.bstack)
+    params, n = _batch_args(eng, vs)
+    return d, n, params
 
-        if isinstance(e, Replicate):
-            n = self._static_int(e.n, env, "replicate count")
-            v = self.atom(e.v, env)
-            d = np.asarray(v.data)
-            d2 = np.expand_dims(d, axis=v.bdims)
-            shape = d.shape[: v.bdims] + (n,) + d.shape[v.bdims:]
-            return (BV(np.broadcast_to(d2, shape).copy(), v.bdims),)
 
-        if isinstance(e, ZerosLike):
-            v = self.atom(e.x, env)
-            return (BV(np.zeros_like(np.asarray(v.data)), v.bdims),)
+def _enter(eng, vs) -> Tuple[int, int, List[BV]]:
+    """``_args``, then push the batch level the lambda body runs at (the
+    matching exit helper pops it)."""
+    d, n, params = _args(eng, vs)
+    eng.bstack.append(n)
+    return d, n, params
 
-        if isinstance(e, ScratchLike):
-            # Checkpoint buffers may have lane-varying logical extents (loops
-            # with data-dependent trip counts); allocate the maximum — the
-            # slack is never read back.
-            nv = self.atom(e.n, env)
-            nd = np.asarray(nv.data)
-            n = 0 if nd.size == 0 else int(nd.max())
-            v = self.atom(e.x, env)
-            bshape = tuple(self.bstack)
-            dt = np.asarray(v.data).dtype
-            return (BV(np.zeros(bshape + (n,) + v.pshape(), dtype=dt), len(bshape)),)
 
-        if isinstance(e, Size):
-            v = self.atom(e.arr, env)
-            if isinstance(v, AccBV):
-                shape = v.data.shape[v.bdims:]
-                return (BV(np.asarray(np.int64(shape[e.dim])), 0),)
-            return (BV(np.asarray(np.int64(v.pshape()[e.dim])), 0),)
+def _payload(r: BV, d: int, n: int) -> np.ndarray:
+    """A lambda result lifted back out of batch level ``d``: the payload
+    with extent ``n`` materialised on axis ``d``."""
+    rd = _expand(r, d + 1)
+    if rd.shape[d] != n:
+        rd = np.broadcast_to(rd, rd.shape[:d] + (n,) + rd.shape[d + 1:])
+    return rd
 
-        if isinstance(e, Reverse):
-            v = self.atom(e.x, env)
-            return (BV(np.flip(np.asarray(v.data), axis=v.bdims).copy(), v.bdims),)
 
-        if isinstance(e, Concat):
-            x = self.atom(e.x, env)
-            y = self.atom(e.y, env)
-            (dx, dy), k, _ = _align([x, y])
-            bx = np.broadcast_shapes(dx.shape[:k], dy.shape[:k])
-            dx = np.broadcast_to(dx, bx + dx.shape[k:])
-            dy = np.broadcast_to(dy, bx + dy.shape[k:])
-            return (BV(np.concatenate([dx, dy], axis=k), k),)
-
-        if isinstance(e, Map):
-            return self._eval_map(e, env)
-        if isinstance(e, Reduce):
-            return self._eval_reduce(e, env)
-        if isinstance(e, Scan):
-            return self._eval_scan(e, env)
-        if isinstance(e, ReduceByIndex):
-            return self._eval_hist(e, env)
-        if isinstance(e, Scatter):
-            return (self._eval_scatter(e, env),)
-        if isinstance(e, Loop):
-            return self._eval_loop(e, env)
-        if isinstance(e, WhileLoop):
-            return self._eval_while(e, env)
-        if isinstance(e, If):
-            return self._eval_if(e, env)
-        if isinstance(e, WithAcc):
-            return self._eval_withacc(e, env)
-        if isinstance(e, UpdAcc):
-            return (self._eval_updacc(e, env),)
-
-        raise ExecError(f"vec eval: unknown expression {type(e).__name__}")
-
-    # -- helpers ---------------------------------------------------------------------------
-
-    def _static_int(self, a: Atom, env, what: str) -> int:
-        return _uniform_int(self.atom(a, env), what)
-
-    def _gather(self, arr: BV, idxs: List[BV]) -> BV:
-        return _gather(arr, idxs)
-
-    def _update(self, e: Update, env) -> BV:
-        arr = self.atom(e.arr, env)
-        idxs = [self.atom(i, env) for i in e.idx]
-        val = self.atom(e.val, env)
-        k = max([arr.bdims, val.bdims] + [i.bdims for i in idxs])
-        if self.mask is not None:
-            k = max(k, self.mask.bdims)
-        # Materialise the destination at full batch size: each lane owns a
-        # private copy (functional semantics), so lanes never collide.
-        bshape = tuple(self.bstack[:k])
-        ad = _expand(arr, k)
-        ad = np.broadcast_to(ad, bshape + ad.shape[k:]).copy()
-        sel = _grids(bshape) + tuple(
-            np.clip(_expand(i, k), 0, max(ad.shape[k + a] - 1, 0))
-            for a, i in enumerate(idxs)
-        )
-        vd = _expand(val, k)
-        if self.mask is None:
-            ad[sel] = vd
-        else:
-            old = ad[sel]
-            md = _expand(self.mask, k)
-            md = md.reshape(md.shape + (1,) * (old.ndim - md.ndim))
-            ad[sel] = np.where(md, vd, old)
-        return BV(ad, k)
-
-    # -- SOACs ------------------------------------------------------------------------------
-
-    def _map_args(self, e_arrs: Tuple[Var, ...], env) -> Tuple[List[BV], int]:
-        return _batch_args(self, [self.atom(a, env) for a in e_arrs])
-
-    def _eval_map(self, e: Map, env) -> Tuple[object, ...]:
-        d = len(self.bstack)
-        params, n = self._map_args(e.arrs, env)
-        accs = [self.atom(a, env) for a in e.accs]
-        for p, v in zip(e.lam.params, params + accs):
-            env[p.name] = v
-        self.bstack.append(n)
-        try:
-            res = self.eval_body(e.lam.body, env)
-        finally:
-            self.bstack.pop()
-        out: List[object] = []
-        for r in res[: len(e.accs)]:
+def _map_exit(eng, d: int, n: int, res, n_acc: int) -> tuple:
+    """Pop a map's batch level; its results: the leading ``n_acc``
+    accumulators as they are, the rest lifted to arrays of extent ``n``."""
+    eng.bstack.pop()
+    out = []
+    for j, r in enumerate(res):
+        if j < n_acc:
             if not isinstance(r, AccBV):
                 raise ExecError("map: accumulator results must lead")
             out.append(r)
-        for r in res[len(e.accs):]:
-            rd = _expand(r, d + 1)
-            if rd.shape[d] != n:  # materialise the new payload axis
-                rd = np.broadcast_to(rd, rd.shape[:d] + (n,) + rd.shape[d + 1:])
-            out.append(BV(np.ascontiguousarray(rd), d))
-        return tuple(out)
-
-    def _bulk_map(self, lam, args: List[BV], n: int, env) -> np.ndarray:
-        """Run a (single-result, acc-free) lambda as a bulk map over batched
-        element arguments; returns the mapped payload with extent ``n`` on
-        the current batch axis.  Shared by the redomap fast paths."""
-        d = len(self.bstack)
-        for p, v in zip(lam.params, args):
-            env[p.name] = v
-        self.bstack.append(n)
-        try:
-            (r,) = self.eval_body(lam.body, env)
-        finally:
-            self.bstack.pop()
-        rd = _expand(r, d + 1)
-        if rd.shape[d] != n:
-            rd = np.broadcast_to(rd, rd.shape[:d] + (n,) + rd.shape[d + 1:])
-        return rd
-
-    def _eval_reduce(self, e: Reduce, env) -> Tuple[object, ...]:
-        d = len(self.bstack)
-        args, n = self._map_args(e.arrs, env)
-        op = recognize_binop_lambda(e.lam) if len(e.nes) == 1 else None
-        if op is not None:
-            data = np.asarray(args[0].data)
-            if data.shape[d] == 0:
-                ne = self.atom(e.nes[0], env)
-                nd = _expand(ne, d)
-                shape = data.shape[:d] + data.shape[d + 1:]
-                return (BV(np.broadcast_to(nd, shape).copy(), d),)
-            red = _UFUNC[op].reduce(data, axis=d)
-            if not _ne_is_identity(op, e.nes[0]):
-                red = _UFUNC[op](_expand(self.atom(e.nes[0], env), d), red)
-            return (BV(red, d),)
-        # Fused (redomap-shaped) operator: bulk-map the element function,
-        # then reduce with the recognised ufunc — fusion keeps the fast path.
-        rm = recognize_redomap_lambda(e.lam) if len(e.nes) == 1 else None
-        if rm is not None:
-            mop, mlam = rm
-            if n == 0:
-                ne = self.atom(e.nes[0], env)
-                nd = _expand(ne, d)
-                bshape = tuple(self.bstack)
-                return (BV(np.broadcast_to(nd, bshape + nd.shape[d:]).copy(), d),)
-            data = self._bulk_map(mlam, args, n, env)
-            red = _UFUNC[mop].reduce(data, axis=d)
-            if not _ne_is_identity(mop, e.nes[0]):
-                red = _UFUNC[mop](_expand(self.atom(e.nes[0], env), d), red)
-            return (BV(red, d),)
-        # General fold: sequential over the reduced axis, batched over lanes.
-        acc = [self.atom(ne, env) for ne in e.nes]
-        for i in range(n):
-            elems = [BV(np.take(np.asarray(a.data), i, axis=d), d) for a in args]
-            for p, v in zip(e.lam.params, acc + elems):
-                env[p.name] = v
-            acc = list(self.eval_body(e.lam.body, env))
-        return tuple(acc)
-
-    def _eval_scan(self, e: Scan, env) -> Tuple[object, ...]:
-        d = len(self.bstack)
-        args, n = self._map_args(e.arrs, env)
-        op = recognize_binop_lambda(e.lam) if len(e.nes) == 1 else None
-        if op is not None:
-            data = np.asarray(args[0].data)
-            acc = _UFUNC[op].accumulate(data, axis=d)
-            if not _ne_is_identity(op, e.nes[0]):
-                nd = np.expand_dims(_expand(self.atom(e.nes[0], env), d), axis=d)
-                acc = _UFUNC[op](nd, acc)
-            return (BV(acc, d),)
-        rm = recognize_redomap_lambda(e.lam) if len(e.nes) == 1 else None
-        if rm is not None and n > 0:
-            mop, mlam = rm
-            data = self._bulk_map(mlam, args, n, env)
-            acc = _UFUNC[mop].accumulate(data, axis=d)
-            if not _ne_is_identity(mop, e.nes[0]):
-                nd = np.expand_dims(_expand(self.atom(e.nes[0], env), d), axis=d)
-                acc = _UFUNC[mop](nd, acc)
-            return (BV(acc, d),)
-        acc = [self.atom(ne, env) for ne in e.nes]
-        cols: List[List[np.ndarray]] = [[] for _ in e.nes]
-        for i in range(n):
-            elems = [BV(np.take(np.asarray(a.data), i, axis=d), d) for a in args]
-            for p, v in zip(e.lam.params, acc + elems):
-                env[p.name] = v
-            acc = list(self.eval_body(e.lam.body, env))
-            for j, a in enumerate(acc):
-                cols[j].append(_expand(a, d))
-        outs = []
-        for j, col in enumerate(cols):
-            if n == 0:
-                ne = self.atom(e.nes[j], env)
-                dt = np.asarray(ne.data).dtype
-                outs.append(BV(np.zeros((0,) * (ne.prank + 1), dtype=dt), 0))
-                continue
-            shape = np.broadcast_shapes(*[c.shape for c in col])
-            col = [np.broadcast_to(c, shape) for c in col]
-            outs.append(BV(np.stack(col, axis=d), d))
-        return tuple(outs)
-
-    def _eval_hist(self, e: ReduceByIndex, env) -> Tuple[object, ...]:
-        d = len(self.bstack)
-        m = self._static_int(e.num_bins, env, "histogram size")
-        args, n = self._map_args((e.inds,) + e.vals, env)
-        inds, vals = args[0], list(args[1:])
-        bshape = tuple(self.bstack)
-        idata = np.broadcast_to(np.asarray(inds.data), bshape + (n,))
-        valid = (idata >= 0) & (idata < m)
-        if self.mask is not None:
-            md = _expand(self.mask, d)
-            md = np.broadcast_to(
-                md.reshape(md.shape + (1,) * (valid.ndim - md.ndim)), valid.shape
-            )
-            valid = valid & md
-        isel = _grids(bshape, extra=1) + (np.clip(idata, 0, max(m - 1, 0)),)
-        op = recognize_binop_lambda(e.lam) if len(e.nes) == 1 else None
-        if op is not None:
-            v = vals[0]
-            pe = v.pshape()  # element payload shape (beyond the n axis)
-            vdata = np.broadcast_to(np.asarray(v.data), bshape + (n,) + pe)
-            dt = vdata.dtype
-            ne = self.atom(e.nes[0], env)
-            hist = np.ascontiguousarray(
-                np.broadcast_to(
-                    np.expand_dims(_expand(ne, d), axis=d), bshape + (m,) + pe
-                ).astype(dt)
-            )
-            neutral = _neutral_of(op, dt)
-            w = valid.reshape(valid.shape + (1,) * (vdata.ndim - valid.ndim))
-            contrib = np.where(w, vdata, neutral)
-            _UFUNC[op].at(hist, isel, contrib)
-            return (BV(hist, d),)
-        # Fused (redomap-shaped) operator: bulk-map the contribution function
-        # over the value arrays, then scatter-accumulate with the ufunc.
-        rm = recognize_redomap_lambda(e.lam) if len(e.nes) == 1 else None
-        if rm is not None:
-            mop, mlam = rm
-            data = self._bulk_map(mlam, vals, n, env)
-            pe = data.shape[d + 1:]
-            dt = data.dtype
-            ne = self.atom(e.nes[0], env)
-            hist = np.ascontiguousarray(
-                np.broadcast_to(
-                    np.expand_dims(_expand(ne, d), axis=d), bshape + (m,) + pe
-                ).astype(dt)
-            )
-            neutral = _neutral_of(mop, dt)
-            vdata = np.broadcast_to(data, bshape + (n,) + pe)
-            w = valid.reshape(valid.shape + (1,) * (vdata.ndim - valid.ndim))
-            contrib = np.where(w, vdata, neutral)
-            _UFUNC[mop].at(hist, isel, contrib)
-            return (BV(hist, d),)
-        # General path: sequential over elements, batched over lanes.
-        hists = []
-        for ne, v in zip(e.nes, vals):
-            nev = self.atom(ne, env)
-            pshape = v.pshape()
-            dt = np.asarray(v.data).dtype
-            h = np.broadcast_to(
-                np.expand_dims(_expand(nev, d), axis=d),
-                bshape + (m,) + pshape,
-            ).astype(dt)
-            hists.append(np.ascontiguousarray(h))
-        gsel = _grids(bshape)
-        for i in range(n):
-            b = idata[..., i]
-            vi = valid[..., i]
-            s = gsel + (np.clip(b, 0, max(m - 1, 0)),)
-            cur = [BV(h[s], d) for h in hists]
-            elems = [BV(np.take(np.asarray(v.data), i, axis=d), d) for v in vals]
-            for p, val in zip(e.lam.params, cur + elems):
-                env[p.name] = val
-            new = self.eval_body(e.lam.body, env)
-            for h, nv in zip(hists, new):
-                nd = _expand(nv, d)
-                old = h[s]
-                w = vi.reshape(vi.shape + (1,) * (old.ndim - vi.ndim))
-                h[s] = np.where(w, np.broadcast_to(nd, old.shape), old)
-        return tuple(BV(h, d) for h in hists)
-
-    def _eval_scatter(self, e: Scatter, env) -> BV:
-        d = len(self.bstack)
-        dest = self.atom(e.dest, env)
-        args, n = self._map_args((e.inds, e.vals), env)
-        inds, vals = args
-        bshape = tuple(self.bstack)
-        dd = _expand(dest, d)
-        dd = np.broadcast_to(dd, bshape + dd.shape[d:]).copy()
-        ln = dd.shape[d]
-        idata = np.broadcast_to(np.asarray(inds.data), bshape + (n,))
-        pe = vals.pshape()
-        vdata = np.broadcast_to(np.asarray(vals.data), bshape + (n,) + pe)
-        valid = (idata >= 0) & (idata < ln)
-        if self.mask is not None:
-            md = _expand(self.mask, d)
-            md = np.broadcast_to(
-                md.reshape(md.shape + (1,) * (valid.ndim - md.ndim)), valid.shape
-            )
-            valid = valid & md
-        sel = _grids(bshape, extra=1) + (np.clip(idata, 0, max(ln - 1, 0)),)
-        old = dd[sel]
-        w = valid.reshape(valid.shape + (1,) * (old.ndim - valid.ndim))
-        dd[sel] = np.where(w, np.broadcast_to(vdata, old.shape), old)
-        return BV(dd, d)
-
-    # -- control flow ----------------------------------------------------------------------
-
-    def _eval_if(self, e: If, env) -> Tuple[object, ...]:
-        c = self.atom(e.cond, env)
-        cd = np.asarray(c.data)
-        if cd.size == 1 and self.mask is None:
-            branch = e.then if bool(cd.reshape(-1)[0]) else e.els
-            return self.eval_body(branch, env)
-        saved = self.mask
-        notc = BV(np.logical_not(cd), c.bdims)
-        self.mask = self._combine_mask(saved, c)
-        tvals = self.eval_body(e.then, env)
-        self.mask = self._combine_mask(saved, notc)
-        fvals = self.eval_body(e.els, env)
-        self.mask = saved
-        return tuple(self._where(c, t, f) for t, f in zip(tvals, fvals))
-
-    def _eval_loop(self, e: Loop, env) -> Tuple[object, ...]:
-        nv = self.atom(e.n, env)
-        nd = np.asarray(nv.data)
-        nmax = 0 if nd.size == 0 else int(nd.max())
-        state = [self.atom(i, env) for i in e.inits]
-        uniform = nd.size == 1 or (nd.size > 0 and nd.min() == nd.max())
-        saved = self.mask
-        for i in range(nmax):
-            env[e.ivar.name] = BV(np.asarray(np.int64(i)), 0)
-            if not uniform:
-                active = BV(i < nd, nv.bdims)
-                self.mask = self._combine_mask(saved, active)
-            for p, v in zip(e.params, state):
-                env[p.name] = v
-            new = list(self.eval_body(e.body, env))
-            if uniform:
-                state = new
-            else:
-                active = BV(i < nd, nv.bdims)
-                state = [
-                    s2 if isinstance(s2, AccBV) else self._where(active, s2, s)
-                    for s, s2 in zip(state, new)
-                ]
-                self.mask = saved
-        self.mask = saved
-        return tuple(state)
-
-    def _eval_while(self, e: WhileLoop, env) -> Tuple[object, ...]:
-        state = [self.atom(i, env) for i in e.inits]
-        saved = self.mask
-        limit = _values.WHILE_FUEL
-        fuel = limit
-        while True:
-            for p, v in zip(e.cond.params, state):
-                env[p.name] = v
-            (c,) = self.eval_body(e.cond.body, env)
-            active = self._combine_mask(saved, c)
-            if not np.any(np.asarray(active.data)):
-                break
-            self.mask = active
-            for p, v in zip(e.params, state):
-                env[p.name] = v
-            new = list(self.eval_body(e.body, env))
-            state = [
-                s2 if isinstance(s2, AccBV) else self._where(active, s2, s)
-                for s, s2 in zip(state, new)
-            ]
-            self.mask = saved
-            fuel -= 1
-            if fuel <= 0:
-                raise ExecError(
-                    f"while loop exceeded iteration fuel ({limit} iterations)"
-                )
-        self.mask = saved
-        return tuple(state)
-
-    # -- accumulators -------------------------------------------------------------------------
-
-    def _eval_withacc(self, e: WithAcc, env) -> Tuple[object, ...]:
-        d = len(self.bstack)
-        bshape = tuple(self.bstack)
-        accs = []
-        for a in e.arrs:
-            v = self.atom(a, env)
-            ad = _expand(v, d)
-            ad = np.broadcast_to(ad, bshape + ad.shape[d:]).copy()
-            accs.append(AccBV(ad, d))
-        for p, acc in zip(e.lam.params, accs):
-            env[p.name] = acc
-        res = self.eval_body(e.lam.body, env)
-        out: List[object] = []
-        for r in res[: len(accs)]:
-            if not isinstance(r, AccBV):
-                raise ExecError("withacc: lambda must return its accumulators")
-            out.append(BV(r.data, r.bdims))
-        out.extend(res[len(accs):])
-        return tuple(out)
-
-    def _eval_updacc(self, e: UpdAcc, env) -> AccBV:
-        acc = self.atom(e.acc, env)
-        if not isinstance(acc, AccBV):
-            raise ExecError("upd: operand is not an accumulator")
-        v = self.atom(e.v, env)
-        idxs = [self.atom(i, env) for i in e.idx]
-        k = max([v.bdims, acc.bdims] + [i.bdims for i in idxs])
-        if self.mask is not None:
-            k = max(k, self.mask.bdims)
-        bshape = tuple(self.bstack[:k])
-        vd = _expand(v, k)
-        vd = np.broadcast_to(vd, bshape + vd.shape[k:])
-        vd = self._mask_where(vd, k, np.zeros((), dtype=vd.dtype))
-        if not idxs:
-            # Whole-array add: contributions from deeper batch levels sum.
-            extra = tuple(range(acc.bdims, k))
-            acc.data += vd.sum(axis=extra) if extra else vd
-            return acc
-        sel = _grids(bshape)[: acc.bdims] + tuple(
-            np.clip(
-                np.broadcast_to(_expand(i, k), bshape),
-                0,
-                max(acc.data.shape[acc.bdims + a] - 1, 0),
-            )
-            for a, i in enumerate(idxs)
-        )
-        np.add.at(acc.data, sel, vd)
-        return acc
-
-
-def run_fun_vec(fun: Fun, args: Sequence[object]) -> Tuple[object, ...]:
-    """Evaluate ``fun`` with the vectorised backend."""
-    return VecInterp().run(fun, args)
-
-
-def run_fun_vec_batched(
-    fun: Fun,
-    args: Sequence[object],
-    batched: Sequence[bool],
-    batch_size: int,
-) -> Tuple[object, ...]:
-    """Evaluate ``fun`` once with selected arguments batched.
-
-    Arguments flagged in ``batched`` carry one extra leading axis of extent
-    ``batch_size`` (e.g. a stack of AD seed vectors); the others are shared
-    across the batch.  Execution enters the interpreter with one pre-pushed
-    batch level — exactly the state of evaluating a ``map`` over the batch —
-    so every statement runs as a single bulk NumPy op over all batch members.
-    Every result is returned with a leading ``batch_size`` axis.
-
-    This is the batched-seed driver behind ``jacobian``: all n/m basis
-    seeds evaluate in one interpreter pass instead of n/m separate runs.
-    """
-    if len(args) != len(fun.params):
-        raise ExecError(
-            f"{fun.name}: expected {len(fun.params)} arguments, got {len(args)}"
-        )
-    if len(batched) != len(args):
-        raise ExecError("run_fun_vec_batched: batched flags must match arguments")
-    interp = VecInterp()
-    b = int(batch_size)
-    interp.bstack.append(b)
-    env: Dict[str, object] = {}
-    for p, a, flag in zip(fun.params, args, batched):
-        if flag:
-            arr = np.asarray(a)
-            if arr.ndim == 0 or arr.shape[0] != b:
-                raise ExecError(
-                    f"batched argument {p.name}: leading axis {arr.shape[:1]} "
-                    f"does not match batch size {b}"
-                )
-            env[p.name] = BV(np.ascontiguousarray(arr, dtype=np_dtype(p.type)), 1)
         else:
-            env[p.name] = BV(np.asarray(coerce_arg(a, p.type)), 0)
-    with np.errstate(all="ignore"):
-        res = interp.eval_body(fun.body, env)
-    out = []
-    for r in res:
-        if isinstance(r, AccBV):
-            raise ExecError("accumulator escaped to top level")
-        d = _expand(r, 1)
-        out.append(np.ascontiguousarray(np.broadcast_to(d, (b,) + d.shape[1:])))
+            out.append(BV(np.ascontiguousarray(_payload(r, d, n)), d))
     return tuple(out)
+
+
+def _map_chunked(eng, body, params: List[BV], d: int, n: int, chunk: int):
+    """A ``sequential(chunk)`` schedule on an acc-free map.  ``body(vals, m)``
+    runs the lambda on ``m`` lanes and returns its payloads.  Chunks only
+    fire at top level (no batch axis, no mask); ``_batch_args`` guarantees
+    every param has extent exactly ``n`` on axis 0, so the chunk payloads
+    concatenate bitwise-identically to the bulk evaluation."""
+    if d == 0 and eng.mask is None and n > chunk:
+        parts = [
+            body([BV(p.data[lo:lo + chunk], p.bdims) for p in params],
+                 min(chunk, n - lo))
+            for lo in range(0, n, chunk)
+        ]
+        return tuple(
+            BV(np.ascontiguousarray(np.concatenate([p[j] for p in parts], axis=0)), 0)
+            for j in range(len(parts[0]))
+        )
+    return tuple(BV(np.ascontiguousarray(rd), d) for rd in body(params, n))
+
+
+def _take(params: List[BV], i: int, d: int) -> List[BV]:
+    """Element ``i`` of every SOAC argument (generic element-at-a-time
+    folds: sequential over the reduced axis, batched over lanes)."""
+    return [BV(np.take(np.asarray(a.data), i, axis=d), d) for a in params]
+
+
+# -- reduce / scan -----------------------------------------------------------
+
+
+def _reduce_uf(eng, vs, ne: BV, uf, fold: bool, ext: Optional[int]) -> BV:
+    """A reduce whose operator is a recognised ufunc.  ``ext`` is the
+    statically known extent (specialised lowering) or None."""
+    d, _n, args = _args(eng, vs)
+    data = np.asarray(args[0].data)
+    if ext == 0 or (ext is None and data.shape[d] == 0):
+        nd = _expand(ne, d)
+        return BV(np.broadcast_to(nd, data.shape[:d] + data.shape[d + 1:]).copy(), d)
+    if ext == 1:
+        red = np.take(data, 0, axis=d)
+    else:
+        red = uf.reduce(data, axis=d)
+    if fold:
+        red = uf(_expand(ne, d), red)
+    return BV(red, d)
+
+
+def _reduce_exit(eng, uf, r: BV, d: int, n: int, ne: BV, fold: bool) -> BV:
+    """Pop a redomap's batch level; the ufunc reduction of its payload."""
+    eng.bstack.pop()
+    red = uf.reduce(_payload(r, d, n), axis=d)
+    if fold:
+        red = uf(_expand(ne, d), red)
+    return BV(red, d)
+
+
+def _reduce_exit_empty(eng, d: int, ne: BV) -> BV:
+    """Pop a redomap's batch level; the reduction of zero elements."""
+    eng.bstack.pop()
+    nd = _expand(ne, d)
+    return BV(np.broadcast_to(nd, tuple(eng.bstack) + nd.shape[d:]).copy(), d)
+
+
+def _scan_uf(eng, vs, ne: BV, uf, fold: bool) -> BV:
+    d, _n, args = _args(eng, vs)
+    return _scan_fold(uf, np.asarray(args[0].data), d, ne, fold)
+
+
+def _scan_fold(uf, data: np.ndarray, d: int, ne: BV, fold: bool) -> BV:
+    acc = uf.accumulate(data, axis=d)
+    if fold:
+        acc = uf(np.expand_dims(_expand(ne, d), axis=d), acc)
+    return BV(acc, d)
+
+
+def _scan_empty(ne: BV) -> BV:
+    return BV(np.zeros((0,) * (ne.prank + 1), dtype=np.asarray(ne.data).dtype), 0)
+
+
+def _scan_exit(eng, uf, r: BV, d: int, n: int, ne: BV, fold: bool) -> BV:
+    """Pop a redomap scan's batch level; the ufunc scan of its payload."""
+    eng.bstack.pop()
+    return _scan_fold(uf, _payload(r, d, n), d, ne, fold)
+
+
+def _scan_exit_empty(eng, ne: BV) -> BV:
+    eng.bstack.pop()
+    return _scan_empty(ne)
+
+
+def _scan_push(cols: List[list], d: int, accs) -> None:
+    for col, a in zip(cols, accs):
+        col.append(_expand(a, d))
+
+
+def _scan_stack(cols: List[list], d: int, n: int, nes) -> Tuple[BV, ...]:
+    outs = []
+    for col, ne in zip(cols, nes):
+        if n == 0:
+            outs.append(_scan_empty(ne))
+            continue
+        shape = np.broadcast_shapes(*[c.shape for c in col])
+        outs.append(BV(np.stack([np.broadcast_to(c, shape) for c in col], axis=d), d))
+    return tuple(outs)
+
+
+# -- histograms and scatter ----------------------------------------------------
+
+
+def _valid_lanes(eng, idata: np.ndarray, bound: int, d: int) -> np.ndarray:
+    """In-range indices of active lanes (the histogram/scatter write mask)."""
+    valid = (idata >= 0) & (idata < bound)
+    if eng.mask is not None:
+        md = _expand(eng.mask, d)
+        md = np.broadcast_to(
+            md.reshape(md.shape + (1,) * (valid.ndim - md.ndim)), valid.shape
+        )
+        valid = valid & md
+    return valid
+
+
+def _hist_args(eng, m: int, vs):
+    """Histogram entry: ``(d, n, hv, vals)`` where ``hv`` bundles the bin
+    count, batch shape, indices and write mask and ``vals`` are the value
+    arguments at batch depth ``d + 1``."""
+    d, n, args = _args(eng, vs)
+    bshape = tuple(eng.bstack)
+    idata = np.broadcast_to(np.asarray(args[0].data), bshape + (n,))
+    valid = _valid_lanes(eng, idata, m, d)
+    return d, n, (m, bshape, idata, valid), args[1:]
+
+
+def _hist_enter(eng, m: int, vs):
+    """``_hist_args``, then push the batch level of the fused map part."""
+    out = _hist_args(eng, m, vs)
+    eng.bstack.append(out[1])
+    return out
+
+
+def _hist_exit(eng, hv, r: BV, d: int, n: int, ne: BV, op: str) -> BV:
+    """Pop a redomap histogram's batch level; accumulate its payload."""
+    eng.bstack.pop()
+    return _hist_fold(hv, d, n, _payload(r, d, n), ne, op)
+
+
+def _hist_fold(hv, d: int, n: int, data: np.ndarray, ne: BV, op: str) -> BV:
+    """Scatter-accumulate a payload into a fresh histogram with the ufunc
+    of ``op``; invalid and inactive lanes contribute the neutral element."""
+    m, bshape, idata, valid = hv
+    pe = data.shape[d + 1:]
+    dt = data.dtype
+    hist = np.ascontiguousarray(
+        np.broadcast_to(
+            np.expand_dims(_expand(ne, d), axis=d), bshape + (m,) + pe
+        ).astype(dt)
+    )
+    vdata = np.broadcast_to(data, bshape + (n,) + pe)
+    w = valid.reshape(valid.shape + (1,) * (vdata.ndim - valid.ndim))
+    contrib = np.where(w, vdata, _neutral_of(op, dt))
+    isel = _grids(bshape, extra=1) + (np.clip(idata, 0, max(m - 1, 0)),)
+    _UFUNC[op].at(hist, isel, contrib)
+    return BV(hist, d)
+
+
+def _hist_uf(eng, m: int, vs, ne: BV, op: str) -> BV:
+    d, n, hv, vals = _hist_args(eng, m, vs)
+    v = vals[0]
+    vdata = np.broadcast_to(np.asarray(v.data), hv[1] + (n,) + v.pshape())
+    return _hist_fold(hv, d, n, vdata, ne, op)
+
+
+def _hist_init(hv, d: int, nes, vals):
+    """Generic histogram set-up: the neutral-filled histograms, and the
+    lane grids every element's bin selector starts with."""
+    m, bshape = hv[0], hv[1]
+    hists = [
+        np.ascontiguousarray(
+            np.broadcast_to(
+                np.expand_dims(_expand(ne, d), axis=d), bshape + (m,) + v.pshape()
+            ).astype(np.asarray(v.data).dtype)
+        )
+        for ne, v in zip(nes, vals)
+    ]
+    return hists, _grids(bshape)
+
+
+def _hist_cur(hv, hists: List[np.ndarray], gsel, i: int, d: int):
+    """The bins element ``i`` lands in: ``(selector, current bin values)``."""
+    m, idata = hv[0], hv[2]
+    s = gsel + (np.clip(idata[..., i], 0, max(m - 1, 0)),)
+    return s, [BV(h[s], d) for h in hists]
+
+
+def _hist_put(hv, hists: List[np.ndarray], s, i: int, d: int, new) -> None:
+    vi = hv[3][..., i]
+    for h, nv in zip(hists, new):
+        nd = _expand(nv, d)
+        old = h[s]
+        w = vi.reshape(vi.shape + (1,) * (old.ndim - vi.ndim))
+        h[s] = np.where(w, np.broadcast_to(nd, old.shape), old)
+
+
+def _scatter(eng, dest: BV, inds: BV, vals: BV) -> BV:
+    d, n, (inds, vals) = _args(eng, [inds, vals])
+    bshape = tuple(eng.bstack)
+    dd = _expand(dest, d)
+    dd = np.broadcast_to(dd, bshape + dd.shape[d:]).copy()
+    ln = dd.shape[d]
+    idata = np.broadcast_to(np.asarray(inds.data), bshape + (n,))
+    vdata = np.broadcast_to(np.asarray(vals.data), bshape + (n,) + vals.pshape())
+    valid = _valid_lanes(eng, idata, ln, d)
+    sel = _grids(bshape, extra=1) + (np.clip(idata, 0, max(ln - 1, 0)),)
+    old = dd[sel]
+    w = valid.reshape(valid.shape + (1,) * (old.ndim - valid.ndim))
+    dd[sel] = np.where(w, np.broadcast_to(vdata, old.shape), old)
+    return BV(dd, d)
+
+
+# -- control flow ----------------------------------------------------------------
+
+
+def _if(eng, c: BV, then, els) -> tuple:
+    """Run ``then()``/``els()``: just one under a lane-uniform condition and
+    no mask, else both SIMT-style under complementary masks, selecting the
+    results lane-wise."""
+    cd = np.asarray(c.data)
+    if cd.size == 1 and eng.mask is None:
+        return then() if bool(cd.reshape(-1)[0]) else els()
+    saved = eng.mask
+    notc = BV(np.logical_not(cd), c.bdims)
+    eng.mask = _combine_mask(saved, c)
+    tvals = then()
+    eng.mask = _combine_mask(saved, notc)
+    fvals = els()
+    eng.mask = saved
+    return tuple(_where(c, t, f) for t, f in zip(tvals, fvals))
+
+
+def _merge(active: BV, state, new) -> tuple:
+    """Loop state after one masked iteration: lanes in ``active`` take the
+    new value; accumulators are threaded through unchanged."""
+    return tuple(
+        s2 if isinstance(s2, AccBV) else _where(active, s2, s)
+        for s, s2 in zip(state, new)
+    )
+
+
+class _Lanes:
+    """A ``loop`` with possibly lane-varying trip counts: runs to the
+    maximum count, masking lanes whose count is exhausted."""
+
+    __slots__ = ("eng", "saved", "nd", "bdims", "nmax", "uniform")
+
+    def __init__(self, eng, nv: BV) -> None:
+        nd = np.asarray(nv.data)
+        self.eng, self.saved, self.nd, self.bdims = eng, eng.mask, nd, nv.bdims
+        self.nmax = 0 if nd.size == 0 else int(nd.max())
+        self.uniform = nd.size == 1 or (nd.size > 0 and nd.min() == nd.max())
+
+    def begin(self, i: int) -> BV:
+        """Enter iteration ``i``; returns the loop index value."""
+        if not self.uniform:
+            self.eng.mask = _combine_mask(self.saved, BV(i < self.nd, self.bdims))
+        return BV(np.asarray(np.int64(i)), 0)
+
+    def end(self, i: int, state: tuple, new: tuple) -> tuple:
+        if self.uniform:
+            return new
+        out = _merge(BV(i < self.nd, self.bdims), state, new)
+        self.eng.mask = self.saved
+        return out
+
+
+class _While:
+    """A ``while`` loop's lane masking and iteration fuel."""
+
+    __slots__ = ("eng", "saved", "limit", "fuel")
+
+    def __init__(self, eng) -> None:
+        self.eng, self.saved = eng, eng.mask
+        self.limit = self.fuel = _values.WHILE_FUEL
+
+    def active(self, c: BV) -> Optional[BV]:
+        """Mask the lanes whose condition holds; None once none does."""
+        act = _combine_mask(self.saved, c)
+        if not np.any(np.asarray(act.data)):
+            return None
+        self.eng.mask = act
+        return act
+
+    def end(self, act: BV, state: tuple, new: tuple) -> tuple:
+        out = _merge(act, state, new)
+        self.eng.mask = self.saved
+        self.fuel -= 1
+        if self.fuel <= 0:
+            raise ExecError(
+                f"while loop exceeded iteration fuel ({self.limit} iterations)"
+            )
+        return out
+
+
+# -- accumulators ----------------------------------------------------------------
+
+
+def _withacc_in(eng, arrs) -> List[AccBV]:
+    d = len(eng.bstack)
+    bshape = tuple(eng.bstack)
+    accs = []
+    for v in arrs:
+        ad = _expand(v, d)
+        accs.append(AccBV(np.broadcast_to(ad, bshape + ad.shape[d:]).copy(), d))
+    return accs
+
+
+def _withacc_out(r) -> BV:
+    if not isinstance(r, AccBV):
+        raise ExecError("withacc: lambda must return its accumulators")
+    return BV(r.data, r.bdims)
+
+
+def _updacc(eng, acc, v: BV, idxs) -> AccBV:
+    if not isinstance(acc, AccBV):
+        raise ExecError("upd: operand is not an accumulator")
+    k = max([v.bdims, acc.bdims] + [i.bdims for i in idxs])
+    if eng.mask is not None:
+        k = max(k, eng.mask.bdims)
+    bshape = tuple(eng.bstack[:k])
+    vd = _expand(v, k)
+    vd = np.broadcast_to(vd, bshape + vd.shape[k:])
+    vd = _mask_where(eng, vd, k, np.zeros((), dtype=vd.dtype))
+    if not idxs:
+        # Whole-array add: contributions from deeper batch levels sum.
+        extra = tuple(range(acc.bdims, k))
+        acc.data += vd.sum(axis=extra) if extra else vd
+        return acc
+    sel = _grids(bshape)[: acc.bdims] + tuple(
+        np.clip(
+            np.broadcast_to(_expand(i, k), bshape),
+            0,
+            max(acc.data.shape[acc.bdims + a] - 1, 0),
+        )
+        for a, i in enumerate(idxs)
+    )
+    np.add.at(acc.data, sel, vd)
+    return acc

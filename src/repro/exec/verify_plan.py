@@ -1,8 +1,8 @@
 """Layer-2 static verifier: plan-IR well-formedness and codegen sanity.
 
 The plan compiler (``exec/lower.py``) flattens SSA names onto a single slot
-space; both emitters (closure interpreter and source codegen) rely on a set
-of structural invariants this module checks once per lowering:
+space; the emitter (``exec/codegen.py``) relies on a set of structural
+invariants this module checks once per lowering:
 
 * **slot def-before-use** — every ``Ref``/``IntRef`` read is dominated by a
   write to its slot (function parameter, loop/lambda parameter binding,
@@ -19,11 +19,11 @@ of structural invariants this module checks once per lowering:
   ``if`` branches agree with the instruction's outputs, the while condition
   returns a single value.
 
-``verify_codegen_source`` checks the source-codegen emitter's output: the
-generated module must parse (``ast.parse``) and must not reference any free
-name beyond the injected namespace defaults and a small builtin allowlist
-(every helper is passed as a keyword-only default of ``_plan_main``, so a
-stray global load means the emitter produced a dangling reference).
+``verify_codegen_source`` checks the emitter's output: the generated module
+must parse (``ast.parse``) and must not reference any free name beyond its
+namespace (the runtime helpers and ``_K{i}`` constants) and a small builtin
+allowlist, so a stray global load means the emitter produced a dangling
+reference.
 
 Both are gated on ``REPRO_VERIFY`` (see ``ir/verify.py``) and run at
 *compile* time only — cached-plan reuse never re-verifies (the ``verify``

@@ -135,8 +135,9 @@ def task_grain() -> int:
 #: them separately even though their element work is unchanged.
 SOAC_OVERHEAD = 8.0
 
-#: Estimated cost (in work units) of lowering one IR statement to a plan
-#: closure — the numerator of the tier-2 promotion amortisation test.
+#: Estimated cost (in work units) of lowering and compiling one IR
+#: statement into a plan — the numerator of the tier-2 promotion
+#: amortisation test.
 LOWER_COST_PER_STM = 1024.0
 
 #: Estimated per-call saving (in work units) of one compile-time fold a

@@ -40,12 +40,11 @@ Counters are surfaced through the ``obs`` metrics registry under the
 """
 from __future__ import annotations
 
-import os
 from typing import Dict, Optional, Set
 
 from ..obs import metrics as _metrics
 from ..obs import tracing as _tracing
-from ..util import IRError, ReproError
+from ..util import IRError, ReproError, env_choice
 from .analysis import (
     OP_IDENTITY,
     recognize_binop_lambda,
@@ -110,8 +109,7 @@ _MODES = ("off", "boundary", "full")
 
 def verify_mode() -> str:
     """The active verification mode: ``REPRO_VERIFY`` ∈ off|boundary|full."""
-    mode = os.environ.get("REPRO_VERIFY", "off").strip().lower()
-    return mode if mode in _MODES else "off"
+    return env_choice("REPRO_VERIFY", "off", _MODES)
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,10 @@ Three pillars, one import:
   (trace → opt passes → lower → emit/compile → promote → execute, plus
   shard per-chunk spans), ring-buffered and exportable as Chrome-trace
   JSON via ``REPRO_TRACE=<file>``.
-* :mod:`repro.obs.profiler` — the ``"profile"`` plan emitter: wraps
-  every plan-IR instruction with timing keyed to its source statement
-  and reports measured time against the static cost model.
+* :mod:`repro.obs.profiler` — the ``"profile"`` plan emitter: renders
+  plans with a clock read around every top-level plan-IR instruction,
+  keyed to its source statements, and reports measured time against the
+  static cost model.
 * :mod:`repro.obs.metrics` — one registry for counters/gauges/timers;
   the four historical stats surfaces (plan cache, shard, opt, fusion)
   are re-homed here, with :func:`snapshot`/:func:`reset_all`/

@@ -1,14 +1,16 @@
 """The ``"profile"`` plan emitter: per-instruction wall-clock attribution.
 
-Registered through the emitter seam in ``exec/plan.py`` (the same
-registry ``"codegen"`` uses), so it composes with both cache tiers, the
-shard executor and every backend that resolves plans through
-``plan_for``.  A ``ProfilePlan`` is a ``Plan`` whose top-level
-instruction closures are wrapped with timing; each measurement is keyed
-to the *source statements* the instruction executes (the provenance
-``exec/lower.py`` records on every top-level plan-IR instruction) and
-labelled via ``ir/pretty``.  Results are bitwise-identical to the plain
-``plan`` emitter — the wrapper only observes.
+Registered through the emitter seam in ``exec/plan.py``, so it composes
+with both cache tiers, the shard executor and every backend that resolves
+plans through ``plan_for``.  A ``ProfilePlan`` is a ``Plan`` rendered in
+profile mode (``exec/codegen.render(..., profile=True)``): the generated
+function reads a clock around each top-level instruction, so the timings
+come from the very code that runs unprofiled — results are
+bitwise-identical to the plain ``plan`` emitter.  Instructions inside
+nested bodies are attributed to their enclosing top-level instruction.
+Each measurement is keyed to the *source statements* the instruction
+executes (the provenance ``exec/lower.py`` records on every top-level
+plan-IR instruction) and labelled via ``ir/pretty``.
 
 ``profile_report()`` ranks the top-k hotspots and sets measured seconds
 against the static cost model's ``estimate_stms`` work for the same
@@ -19,10 +21,9 @@ way round.  Those inversions are exactly where cost-driven decisions
 the column pair actionable.
 
 Selection: pass ``emitter="profile"`` to ``plan_for``, or set
-``REPRO_PROFILE`` — any truthy value routes default plan-backend
-executions through this emitter; a value naming a file (a path separator
-or a ``.json`` suffix) additionally writes the report there at
-interpreter exit.
+``REPRO_PROFILE`` — any truthy value routes default plan lookups through
+this emitter; a value naming a file (a path separator or a ``.json``
+suffix) additionally writes the report there at interpreter exit.
 """
 from __future__ import annotations
 
@@ -36,7 +37,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..ir.analysis import ir_hash
 from ..ir.cost_model import estimate_stms
 from ..ir.pretty import pretty_exp
-from ..exec.lower import lower_fun
+from ..exec.codegen import render
 from ..exec.plan import Plan, register_emitter
 from . import metrics, tracing
 
@@ -92,55 +93,45 @@ def _label_of(prov: tuple, kind: str) -> str:
     return f"run[{len(prov)}] {first}..{last}"
 
 
-def _wrap(closure, key: tuple, label: str, kind: str, prov: tuple, fun: str,
-          schedule: str = ""):
-    """Time one instruction closure; the record is resolved per call so
-    accumulation survives ``reset_profile`` on cached plans."""
-
-    def timed_ins(eng, _c=closure):
-        t0 = time.perf_counter()
-        try:
-            return _c(eng)
-        finally:
-            dt = time.perf_counter() - t0
-            with _PLOCK:
-                rec = _DATA.get(key)
-                if rec is None:
-                    rec = _DATA[key] = _Rec(label, kind, prov, fun, schedule)
-                rec.calls += 1
-                rec.seconds += dt
-
-    return timed_ins
-
-
 class ProfilePlan(Plan):
     """A ``Plan`` whose top-level instructions are timed and attributed.
 
-    Lowering, caching and results are exactly the plain emitter's; only
-    the emitted closures differ, by one timing wrapper each.
+    Lowering, caching and results are exactly the plain emitter's; the
+    rendered source differs only by a clock read around each top-level
+    instruction.
     """
 
     emitter_name = "profile"
 
-    def __init__(self, fun, static=None, spec_sig=None, ir=None):
-        if ir is None:
-            ir = lower_fun(fun, static)
-        super().__init__(fun, static=static, spec_sig=spec_sig, ir=ir)
+    def _render(self, ir):
+        fun = ir.fun
         base = (fun.name, ir_hash(fun), bool(ir.specialized))
-        instrs, res = self.code
-        wrapped = tuple(
-            _wrap(
-                c,
-                base + (i,),
-                _label_of(ins.prov, ins.kind),
-                ins.kind,
-                ins.prov,
-                fun.name,
-                ins.schedule,
-            )
-            for i, (c, ins) in enumerate(zip(instrs, ir.body.instrs))
-        )
-        self.code = (wrapped, res)
+        meta = [
+            (base + (i,), _label_of(ins.prov, ins.kind), ins.kind, ins.prov,
+             fun.name, ins.schedule)
+            for i, ins in enumerate(ir.body.instrs)
+        ]
+
+        def record(i: int, t0: float) -> None:
+            # Resolved per call, so accumulation survives ``reset_profile``
+            # on cached plans.
+            dt = time.perf_counter() - t0
+            key, label, kind, prov, fname, schedule = meta[i]
+            with _PLOCK:
+                rec = _DATA.get(key)
+                if rec is None:
+                    rec = _DATA[key] = _Rec(label, kind, prov, fname, schedule)
+                rec.calls += 1
+                rec.seconds += dt
+
+        self._record = record
+        return render(ir, profile=True)
+
+    def _namespace(self):
+        ns = super()._namespace()
+        ns["_clock"] = time.perf_counter
+        ns["_prof"] = self._record
+        return ns
 
 
 register_emitter("profile", ProfilePlan)

@@ -38,36 +38,43 @@ from ..ir.traversal import exp_atoms
 __all__ = ["dce_fun", "dce_body"]
 
 
-def _exp_uses(e: Exp, live: Set[str]) -> None:
-    from ..ir.traversal import free_vars_exp
-
-    for v in free_vars_exp(e).values():
-        live.add(v.name)
+def _dce_lambda(lam: Lambda) -> Tuple[Lambda, Set[str]]:
+    body, free = _dce(lam.body)
+    return Lambda(lam.params, body), free - {p.name for p in lam.params}
 
 
-def _dce_lambda(lam: Lambda) -> Lambda:
-    return Lambda(lam.params, dce_body(lam.body))
-
-
-def _dce_exp(e: Exp) -> Exp:
-    """Recurse into nested bodies."""
+def _dce_exp(e: Exp) -> Tuple[Exp, Set[str]]:
+    """Recurse into nested bodies; also returns the names their kept code
+    reads from the enclosing scope."""
     if isinstance(e, Map):
-        return Map(_dce_lambda(e.lam), e.arrs, e.accs)
+        lam, free = _dce_lambda(e.lam)
+        return Map(lam, e.arrs, e.accs), free
     if isinstance(e, Reduce):
-        return Reduce(_dce_lambda(e.lam), e.nes, e.arrs)
+        lam, free = _dce_lambda(e.lam)
+        return Reduce(lam, e.nes, e.arrs), free
     if isinstance(e, Scan):
-        return Scan(_dce_lambda(e.lam), e.nes, e.arrs)
+        lam, free = _dce_lambda(e.lam)
+        return Scan(lam, e.nes, e.arrs), free
     if isinstance(e, ReduceByIndex):
-        return ReduceByIndex(e.num_bins, _dce_lambda(e.lam), e.nes, e.inds, e.vals)
+        lam, free = _dce_lambda(e.lam)
+        return ReduceByIndex(e.num_bins, lam, e.nes, e.inds, e.vals), free
     if isinstance(e, Loop):
-        return Loop(e.params, e.inits, e.ivar, e.n, dce_body(e.body), e.stripmine, e.checkpoint)
+        body, free = _dce(e.body)
+        free -= {p.name for p in e.params} | {e.ivar.name}
+        return Loop(e.params, e.inits, e.ivar, e.n, body, e.stripmine, e.checkpoint), free
     if isinstance(e, WhileLoop):
-        return WhileLoop(e.params, e.inits, _dce_lambda(e.cond), dce_body(e.body), e.bound)
+        cond, free = _dce_lambda(e.cond)
+        body, bfree = _dce(e.body)
+        free |= bfree - {p.name for p in e.params}
+        return WhileLoop(e.params, e.inits, cond, body, e.bound), free
     if isinstance(e, If):
-        return If(e.cond, dce_body(e.then), dce_body(e.els))
+        then, free = _dce(e.then)
+        els, efree = _dce(e.els)
+        return If(e.cond, then, els), free | efree
     if isinstance(e, WithAcc):
-        return WithAcc(e.arrs, _dce_lambda(e.lam))
-    return e
+        lam, free = _dce_lambda(e.lam)
+        return WithAcc(e.arrs, lam), free
+    return e, set()
 
 
 def _shrink_map(e: Map, keep: List[bool]) -> Map:
@@ -87,8 +94,11 @@ def _shrink_if(e: If, keep: List[bool]) -> If:
     return If(e.cond, Body(e.then.stms, tres), Body(e.els.stms, fres))
 
 
-def dce_body(body: Body) -> Body:
+def _dce(body: Body) -> Tuple[Body, Set[str]]:
+    """DCE ``body``; also returns its free names.  Each nested body reports
+    its free names as it is processed, so no statement is walked twice."""
     live: Set[str] = {a.name for a in body.result if isinstance(a, Var)}
+    free = set(live)
     out: List[Stm] = []
     for stm in reversed(body.stms):
         keep = [v.name in live for v in stm.pat]
@@ -104,10 +114,17 @@ def dce_body(body: Body) -> Body:
             elif isinstance(e, If):
                 e = _shrink_if(e, keep)
                 pat = tuple(v for v, k in zip(stm.pat, keep) if k)
-        e = _dce_exp(e)
-        _exp_uses(e, live)
+        e, uses = _dce_exp(e)
+        uses |= {a.name for a in exp_atoms(e) if isinstance(a, Var)}
+        live |= uses
+        free -= {v.name for v in pat}
+        free |= uses
         out.append(Stm(pat, e))
-    return Body(tuple(reversed(out)), body.result)
+    return Body(tuple(reversed(out)), body.result), free
+
+
+def dce_body(body: Body) -> Body:
+    return _dce(body)[0]
 
 
 def dce_fun(fun: Fun) -> Fun:

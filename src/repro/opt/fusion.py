@@ -48,7 +48,6 @@ that true by construction as the engine grows more speculative cases.
 """
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..ir.analysis import recognize_redomap_lambda
@@ -78,7 +77,7 @@ from ..ir.traversal import (
 )
 from ..ir.types import rank_of, with_rank
 from ..obs import metrics as _obs_metrics
-from ..util import ADError, BoundedLRU, fresh
+from ..util import ADError, BoundedLRU, env_choice, fresh
 
 __all__ = [
     "fuse_fun",
@@ -94,8 +93,7 @@ __all__ = [
 def fuse_cost_mode() -> str:
     """``REPRO_FUSE_COST``: ``on`` (cost-guided, default), ``always``
     (monotone — fuse every legal candidate), or ``off`` (pass disabled)."""
-    mode = os.environ.get("REPRO_FUSE_COST", "on").lower()
-    return mode if mode in ("on", "off", "always") else "on"
+    return env_choice("REPRO_FUSE_COST", "on", ("on", "always", "off"))
 
 
 #: Fusion decision counters: candidates that fused (by direction) and

@@ -5,6 +5,7 @@ import itertools
 import os
 import threading
 from collections import OrderedDict
+from typing import Tuple
 
 __all__ = [
     "ReproError",
@@ -17,6 +18,7 @@ __all__ = [
     "reset_names",
     "BoundedLRU",
     "env_capacity",
+    "env_choice",
 ]
 
 
@@ -137,6 +139,20 @@ def env_capacity(var: str, default: int) -> int:
         return int(os.environ.get(var, default))
     except ValueError:
         return default
+
+
+def env_choice(var: str, default: str, choices: Tuple[str, ...]) -> str:
+    """An enumerated knob from the environment (read at call time,
+    case-insensitive); a value outside ``choices`` raises ``ReproError``
+    naming the variable and the valid set instead of silently falling back
+    to the default."""
+    raw = os.environ.get(var)
+    if raw is None:
+        return default
+    mode = raw.strip().lower()
+    if mode not in choices:
+        raise ReproError(f"{var}={raw!r}: expected one of {', '.join(choices)}")
+    return mode
 
 
 def reset_names() -> None:

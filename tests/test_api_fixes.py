@@ -25,7 +25,7 @@ def test_value_and_grad_single_adjoint():
     vg = rp.value_and_grad(fc)
     g = rp.grad(fc)
     xs = rng.standard_normal(5)
-    for backend in ("ref", "vec", "plan"):
+    for backend in ("ref", "plan"):
         val, adj = vg(xs, backend=backend)
         np.testing.assert_allclose(val, 0.5 * (xs * xs).sum(), rtol=1e-12)
         np.testing.assert_allclose(np.asarray(adj), xs, rtol=1e-12)
@@ -63,7 +63,7 @@ def test_hessian_diag_wrt_middle_float_param():
     fc = rp.compile(rp.trace_like(_quad, (np.ones(4), np.ones(4), np.ones(4))))
     h = rp.hessian_diag(fc, wrt=1)
     w, x, b = rng.standard_normal(4), rng.standard_normal(4), rng.standard_normal(4)
-    for backend in ("ref", "vec", "plan"):
+    for backend in ("ref", "plan"):
         np.testing.assert_allclose(
             h(w, x, b, backend=backend), 2.0 * w, rtol=1e-10, atol=1e-10
         )

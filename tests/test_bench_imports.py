@@ -119,3 +119,25 @@ def test_cost_model_shape_for_bench_ablation_a8():
     assert fe.total.work > 0 and fe.soacs
     assert task_grain() >= 1
     assert soac_elem_cost(fun.body.stms[0].exp) is not None
+
+
+def test_bench_rows_carry_their_own_measurement():
+    """Rows built after several ``timeit`` calls each carry the phases of
+    the measurement they were given, not of whichever ran last."""
+    import numpy as np
+
+    import repro as rp
+
+    common = importlib.import_module("common")
+    fc = rp.compile(rp.trace_like(lambda v: rp.sum(v * v), (np.ones(4),)))
+    x = np.arange(4.0)
+    fc(x, backend="plan")
+    t_ours = common.timeit(lambda: fc(x, backend="plan"), repeats=3)
+    t_numpy = common.timeit(lambda: float(np.sum(x * x)), repeats=2)
+    ours = common.bench_row("ours", seconds=t_ours)
+    base = common.bench_row("numpy", seconds=t_numpy)
+    assert ours["phases"]["execute"]["count"] == 3
+    assert base["phases"].get("execute", {}).get("count", 0) == 0
+    assert type(ours["seconds"]) is float and ours["seconds"] == t_ours
+    # A number derived from measurements belongs to none of them.
+    assert "phases" not in common.bench_row("ratio", seconds=t_ours / t_numpy)

@@ -1,7 +1,8 @@
-"""Source-codegen backend (``exec/codegen.py``): bitwise parity with the
-closure interpreter across generic and specialised tiers, cache accounting
-for code objects, the ``REPRO_CODEGEN_DUMP`` knob, and codegen-compiled
-shard chunks."""
+"""The plan emitter (``exec/codegen.py``): bitwise parity between generic
+and specialised tiers, cache accounting for code objects, the
+``REPRO_CODEGEN_DUMP`` knob, codegen-compiled shard chunks, and that fused
+runs free their dead temporaries."""
+import tracemalloc
 import os
 
 import numpy as np
@@ -17,7 +18,7 @@ from repro.exec.plan import (
     plan_cache_stats,
     plan_for,
 )
-from repro.util import ExecError, ReproError
+from repro.util import ExecError
 
 rng = np.random.default_rng(29)
 
@@ -31,9 +32,9 @@ def _sum_kernel():
     return rp.compile(rp.trace_like(f, (np.ones(4),)))
 
 
-#: The construct battery from the plan-cache suite, re-run here against the
-#: codegen emitter: every SOAC strategy/extent fast path, control flow,
-#: accumulators, and the specialised folds.
+#: The construct battery from the plan-cache suite: every SOAC
+#: strategy/extent fast path, control flow, accumulators, and the
+#: specialised folds.
 _BATTERY = [
     ("size_iota_replicate", lambda v: rp.sum(
         rp.map(lambda i: rp.astype(i, rp.F64), rp.iota(rp.size(v)))
@@ -66,14 +67,14 @@ _BATTERY = [
 
 
 # ---------------------------------------------------------------------------
-# Bitwise parity: codegen vs plan, generic vs specialised
+# Bitwise parity: generic vs specialised
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("name,f,ex,args", _BATTERY, ids=[b[0] for b in _BATTERY])
 def test_codegen_generic_and_specialized_bitwise_battery(name, f, ex, args):
     fc = rp.compile(rp.trace_like(f, ex))
-    run_both(fc, *args)  # includes the suite-wide plan↔codegen bitwise check
+    run_both(fc, *args)  # ref/plan/shard agreement
     fun = fc.fun
     plan = compile_plan(fun)
     generic = compile_codegen(fun)
@@ -96,7 +97,12 @@ def test_codegen_gradients_bitwise_vs_plan():
     v, w = rng.standard_normal(8), rng.standard_normal(8)
     fc = rp.compile(rp.trace_like(f, (v, w)))
     g = rp.grad(fc)
-    for a, b in zip(g(v, w, backend="plan"), g(v, w, backend="codegen")):
+    want = g(v, w, backend="plan")
+    # The plan backend's generic plan vs a specialised compile_codegen build
+    # of the same derivative.
+    spec = compile_codegen(g.adfun.fun, (v, w, 1.0))
+    got = spec.run((v, w, 1.0))[1:]
+    for a, b in zip(want, got):
         np.testing.assert_array_equal(np.asarray(a), np.asarray(b))
 
 
@@ -133,13 +139,13 @@ def test_codegen_shape_sweep_one_code_object_per_signature():
     for n in sizes:
         x = rng.standard_normal(n)
         np.testing.assert_allclose(
-            fc(x, backend="codegen"), fc(x, backend="ref"),
+            fc(x, backend="plan"), fc(x, backend="ref"),
             rtol=1e-12, atol=1e-12,
         )
     st = plan_cache_stats()
     assert st["misses"] == 1, f"sweep re-compiled codegen plans: {st}"
     assert st["hits"] + st["specialized_hits"] == len(sizes) - 1
-    em = st["emitters"]["codegen"]
+    em = st["emitters"]["plan"]
     assert em["plans"] == 1
     assert em["code_objects"] == 1
     assert em["source_bytes"] > 0
@@ -152,29 +158,31 @@ def test_codegen_promotion_counts_specialised_code_objects(monkeypatch):
     fc = _sum_kernel()
     clear_plan_cache()
     x = rng.standard_normal(6)
-    results = [np.asarray(fc(x, backend="codegen")) for _ in range(5)]
+    results = [np.asarray(fc(x, backend="plan")) for _ in range(5)]
     st = plan_cache_stats()
     assert st["promotions"] == 1
     assert st["specialized_entries"] == 1
-    em = st["emitters"]["codegen"]
+    em = st["emitters"]["plan"]
     assert em["plans"] == 2  # one generic + one promoted specialised
     assert em["code_objects"] == 2
     for r in results[1:]:  # bitwise across the generic->specialised switch
         np.testing.assert_array_equal(results[0], r)
 
 
-def test_plan_and_codegen_emitters_get_separate_cache_rows():
+def test_plan_and_profile_emitters_get_separate_cache_rows():
+    from repro.obs.profiler import ProfilePlan
+
     fc = _sum_kernel()
     clear_plan_cache()
     x = rng.standard_normal(5)
     p1 = plan_for(fc.fun, (x,), emitter="plan")
-    p2 = plan_for(fc.fun, (x,), emitter="codegen")
+    p2 = plan_for(fc.fun, (x,), emitter="profile")
     st = plan_cache_stats()
     assert st["entries"] == 2 and st["misses"] == 2
-    assert isinstance(p1, Plan) and isinstance(p2, CodegenPlan)
-    assert plan_for(fc.fun, (x,), emitter="codegen") is p2  # cached repeat
+    assert type(p1) is Plan and isinstance(p2, ProfilePlan)
+    assert plan_for(fc.fun, (x,), emitter="profile") is p2  # cached repeat
     np.testing.assert_array_equal(p1.run((x,))[0], p2.run((x,))[0])
-    assert set(st["emitters"]) >= {"plan", "codegen"}
+    assert set(st["emitters"]) >= {"plan", "profile"}
 
 
 def test_unknown_emitter_raises_listing_the_registered_set():
@@ -185,7 +193,7 @@ def test_unknown_emitter_raises_listing_the_registered_set():
 
 def test_clear_plan_cache_resets_emitter_stats():
     fc = _sum_kernel()
-    fc(np.ones(4), backend="codegen")
+    fc(np.ones(4), backend="plan")
     assert plan_cache_stats()["emitters"]
     clear_plan_cache()
     assert plan_cache_stats()["emitters"] == {}
@@ -220,7 +228,6 @@ def test_shard_chunks_run_codegen_compiled(monkeypatch):
     monkeypatch.setenv("REPRO_SHARD_WORKERS", "2")
     monkeypatch.setenv("REPRO_SHARD_MIN_CHUNK", "4")
     monkeypatch.setenv("REPRO_SHARD_MAX_TASKS", "4")
-    monkeypatch.setenv("REPRO_SHARD_EMITTER", "codegen")
 
     def f(v):
         return rp.map(lambda x: rp.tanh(x) * 2.0, v)
@@ -232,17 +239,35 @@ def test_shard_chunks_run_codegen_compiled(monkeypatch):
     np.testing.assert_array_equal(np.asarray(r_shard),
                                   np.asarray(fc(xs, backend="plan")))
     em = plan_cache_stats()["emitters"]
-    assert "codegen" in em and em["codegen"]["code_objects"] >= 1
+    assert em["plan"]["code_objects"] >= 1
 
 
-def test_shard_emitter_knob_rejects_unknown_values(monkeypatch):
-    monkeypatch.setenv("REPRO_SHARD_WORKERS", "2")
-    monkeypatch.setenv("REPRO_SHARD_MIN_CHUNK", "4")
-    monkeypatch.setenv("REPRO_SHARD_EMITTER", "llvm")
+# ---------------------------------------------------------------------------
+# Dead temporaries
+# ---------------------------------------------------------------------------
 
-    def f(v):
-        return rp.map(lambda x: x * 2.0, v)
 
-    fc = rp.compile(rp.trace_like(f, (np.ones(8),)))
-    with pytest.raises(ReproError, match="REPRO_SHARD_EMITTER"):
-        fc(rng.standard_normal(11), backend="shard")
+@pytest.mark.parametrize("ops", [20, 60])
+def test_fused_run_frees_dead_temporaries(ops):
+    """A map body that is one fused run of ``ops`` scalar ops keeps only a
+    few arrays of the map's extent alive, however long the run: each
+    intermediate dies as soon as its consumer has run."""
+    n = 100_000
+
+    def body(x):
+        y = x
+        for _ in range(ops // 2):
+            y = y * 1.0001 + 0.5
+        return y
+
+    xs = np.linspace(0.0, 1.0, n)
+    fc = rp.compile(rp.trace_like(lambda v: rp.map(body, v), (xs,)))
+    fc(xs, backend="plan")  # build the plan outside the measured window
+    tracemalloc.start()
+    try:
+        out = fc(xs, backend="plan")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_allclose(out, body(xs), rtol=1e-12)
+    assert peak < 6 * 8 * n, f"peak {peak / (8 * n):.1f} arrays of extent n"

@@ -1,5 +1,5 @@
 """Sharded executor + backend registry: registry round-trips, shardability
-golden cases, shard/plan/vec/ref parity (fuzz corpus + apps), determinism
+golden cases, shard/plan/ref parity (fuzz corpus + apps), determinism
 across worker counts, batched-seed sharding, and the plan-cache backend
 dimension."""
 import numpy as np
@@ -44,9 +44,9 @@ def sharded(monkeypatch):
 
 
 def test_registry_builtins_and_capabilities():
-    assert set(available_backends()) >= {"ref", "vec", "plan", "shard"}
+    assert available_backends()[:3] == ("ref", "plan", "shard")
     assert not get_backend("ref").batched
-    for name in ("vec", "plan", "shard"):
+    for name in ("plan", "shard"):
         assert get_backend(name).batched
     assert get_backend("shard").sharded and not get_backend("plan").sharded
     assert "ref" not in batched_backends()
@@ -147,7 +147,7 @@ def test_parallel_split_picks_the_heaviest_soac():
 
 
 # ---------------------------------------------------------------------------
-# Parity: shard vs ref/vec/plan
+# Parity: shard vs ref/plan
 # ---------------------------------------------------------------------------
 
 

@@ -1,4 +1,5 @@
-"""Vectorised (SIMT) interpreter vs the reference interpreter."""
+"""Vectorised (SIMT) execution — plans over batched values — vs the
+reference interpreter."""
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -108,15 +109,15 @@ def test_irregular_iota_rejected_in_vec():
 
     fc = rp.compile(rp.trace_like(f, (np.array([1, 2]),)))
     with pytest.raises(ExecError):
-        fc(np.array([1, 2, 3]), backend="vec")
+        fc(np.array([1, 2, 3]), backend="plan")
     # The reference interpreter handles irregularity fine.
     out = fc(np.array([1, 2, 3]), backend="ref")
     np.testing.assert_allclose(out, [0.0, 1.0, 3.0])
 
 
-def test_run_fun_vec_batched_matches_looped_runs():
-    # The batched-seed driver must agree with one interpreter run per seed.
-    from repro.exec.vector import run_fun_vec, run_fun_vec_batched
+def test_run_fun_plan_batched_matches_looped_runs():
+    # The batched-seed driver must agree with one plan run per seed.
+    from repro.exec.plan import run_fun_plan, run_fun_plan_batched
 
     def f(x, s):
         return rp.sum(rp.map(lambda a, b: rp.sin(a) * b, x, s)), rp.map(
@@ -126,25 +127,25 @@ def test_run_fun_vec_batched_matches_looped_runs():
     fc = rp.compile(rp.trace_like(f, (np.ones(4), np.ones(4))))
     x = rng.standard_normal(4)
     seeds = rng.standard_normal((6, 4))
-    batched = run_fun_vec_batched(fc.fun, (x, seeds), (False, True), 6)
+    batched = run_fun_plan_batched(fc.fun, (x, seeds), (False, True), 6)
     assert all(np.asarray(r).shape[0] == 6 for r in batched)
     for i in range(6):
-        row = run_fun_vec(fc.fun, (x, seeds[i]))
+        row = run_fun_plan(fc.fun, (x, seeds[i]))
         for got, want in zip(batched, row):
             np.testing.assert_allclose(
                 np.asarray(got)[i], np.asarray(want), rtol=1e-12, atol=1e-12
             )
 
 
-def test_run_fun_vec_batched_rejects_bad_batch_axis():
+def test_run_fun_plan_batched_rejects_bad_batch_axis():
     def f(x):
         return rp.map(lambda a: a * 2.0, x)
 
     fc = rp.compile(rp.trace_like(f, (np.ones(4),)))
-    from repro.exec.vector import run_fun_vec_batched
+    from repro.exec.plan import run_fun_plan_batched
 
     with pytest.raises(ExecError):
-        run_fun_vec_batched(fc.fun, (np.ones((3, 4)),), (True,), 5)
+        run_fun_plan_batched(fc.fun, (np.ones((3, 4)),), (True,), 5)
 
 
 @settings(max_examples=25, deadline=None)

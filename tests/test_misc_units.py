@@ -7,7 +7,7 @@ import repro as rp
 from repro.apps import datagen
 from repro.exec.cost import Cost
 from repro.ir import pretty
-from repro.util import ADError, NameSupply, fresh
+from repro.util import ADError, NameSupply, ReproError, fresh
 
 
 def test_name_supply_unique_and_stem_stable():
@@ -105,3 +105,46 @@ def test_jvp_int_params_have_no_tangent_slot():
 def test_compiled_repr_and_name():
     f = rp.compile(rp.trace_like(lambda x: x, (1.0,), name="idfun"))
     assert f.name.startswith("idfun") and "idfun" in repr(f)
+
+
+def _knob_program():
+    return rp.trace_like(lambda v: rp.map(lambda x: x * 2.0 + 1.0, v), (np.ones(8),))
+
+
+def _compile_fresh():
+    from repro.opt.pipeline import clear_opt_cache
+
+    clear_opt_cache()
+    return rp.compile(_knob_program())
+
+
+def _shard_call():
+    fc = rp.compile(_knob_program())
+    return fc(np.ones(8), backend="shard")
+
+
+def _default_call():
+    fc = rp.compile(_knob_program())
+    return fc(np.ones(8))
+
+
+@pytest.mark.parametrize(
+    "var,bad,run,message",
+    [
+        ("REPRO_VERIFY", "ful", _compile_fresh,
+         r"REPRO_VERIFY='ful': expected one of off, boundary, full"),
+        ("REPRO_FUSE_COST", "maybe", _compile_fresh,
+         r"REPRO_FUSE_COST='maybe': expected one of on, always, off"),
+        ("REPRO_SHARD_MODE", "procs", _shard_call,
+         r"REPRO_SHARD_MODE='procs': expected one of thread, process"),
+        ("REPRO_BACKEND", "vec", _default_call,
+         r"unknown backend 'vec'; registered backends: ref, plan, shard"),
+    ],
+    ids=["REPRO_VERIFY", "REPRO_FUSE_COST", "REPRO_SHARD_MODE", "REPRO_BACKEND"],
+)
+def test_invalid_knob_values_fail_loudly(monkeypatch, var, bad, run, message):
+    """A misspelt knob value raises, naming the variable (or value) and the
+    valid set, instead of silently running with the default."""
+    monkeypatch.setenv(var, bad)
+    with pytest.raises(ReproError, match=message):
+        run()

@@ -157,7 +157,8 @@ def test_trace_includes_shard_chunk_spans(monkeypatch):
 
 
 def test_tracing_under_codegen_backend(monkeypatch):
-    monkeypatch.setenv("REPRO_BACKEND", "codegen")
+    # The plan backend runs generated code; its execute spans say so.
+    monkeypatch.setenv("REPRO_BACKEND", "plan")
     xs = np.linspace(-1.0, 1.0, 16)
     fc = rp.compile(rp.trace_like(_sum_sq, (xs,), name="obs_cg_demo"))
     clear_plan_cache()
@@ -171,7 +172,8 @@ def test_tracing_under_codegen_backend(monkeypatch):
         for e in tracing.events()
         if e["name"] == "execute" and e["ph"] == "B"
     )
-    assert ex["args"]["emitter"] == "codegen"
+    assert ex["args"]["emitter"] == "plan"
+    assert {"emit", "compile"} <= names
 
 
 def test_collecting_restores_off_state():
@@ -204,6 +206,22 @@ def test_profile_emitter_bitwise_identical_on_fuzz_corpus(monkeypatch):
         assert np.array_equal(np.asarray(ref), np.asarray(got)), seed
     summary = profiler.profile_summary()
     assert summary["calls"] > 0 and summary["seconds"] >= 0.0
+
+
+def test_profile_times_the_generated_code():
+    """A profiled plan is the plain plan's generated source plus one clock
+    read around each top-level instruction — nothing else differs."""
+    from repro.exec.plan import plan_for
+
+    xs = np.linspace(0.0, 1.0, 16)
+    fc = rp.compile(rp.trace_like(_sum_sq, (xs,), name="obs_src_demo"))
+    plain = plan_for(fc.fun, (xs,), emitter="plan")
+    prof = plan_for(fc.fun, (xs,), emitter="profile")
+    lines = prof.source.splitlines()
+    timers = [ln for ln in lines if "_clock()" in ln or "_prof(" in ln]
+    n_top = sum(ln.strip().startswith("_prof(") for ln in lines)
+    assert n_top >= 1 and len(timers) == 2 * n_top
+    assert [ln for ln in lines if ln not in timers] == plain.source.splitlines()
 
 
 def test_profile_report_gmm_gradient(monkeypatch):

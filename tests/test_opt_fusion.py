@@ -2,7 +2,7 @@
 
 Golden tests assert post-fusion SOAC statement counts per case (map→map,
 map→reduce, map→scan, map→hist, horizontal), parity runs check every fused
-program on ref/vec/plan (via ``tests/helpers.py``) including a slice of the
+program on ref/plan (via ``tests/helpers.py``) including a slice of the
 fuzz corpus, and the GMM acceptance check asserts the post-AD gradient
 program carries measurably fewer SOACs with fusion on than off.
 """
@@ -167,7 +167,7 @@ def test_hessian_diag_through_fused():
     fc = rp.compile(_trace(f, np.ones(5)))
     h = rp.hessian_diag(fc)
     xs = rng.standard_normal(5)
-    for be in ("ref", "vec", "plan"):
+    for be in ("ref", "plan"):
         np.testing.assert_allclose(h(xs, backend=be), 6.0 * xs, rtol=1e-9)
 
 
@@ -195,7 +195,7 @@ def test_fuzz_corpus_fused_parity(seed):
     run_both(fc, xs)
     g = rp.grad(fc)
     ref = g(xs, backend="ref")
-    for be in ("vec", "plan"):
+    for be in ("plan",):
         np.testing.assert_allclose(g(xs, backend=be), ref, rtol=1e-9, atol=1e-9)
 
 
@@ -286,7 +286,7 @@ def test_gmm_gradient_fewer_soacs_with_fusion():
     )
     seeds = args + (1.0,)
     ref = g_off(*seeds, backend="ref")
-    for be in ("ref", "vec", "plan"):
+    for be in ("ref", "plan"):
         out = g_on(*seeds, backend=be)
         for a, b in zip(ref, out):
             np.testing.assert_allclose(
@@ -316,7 +316,7 @@ def test_reduce_nonidentity_ne_all_backends():
         (h, min(-3.0, xs.min())),
     ):
         fc = rp.compile(rp.trace_like(fn, (xs,)))
-        for be in ("ref", "vec", "plan"):
+        for be in ("ref", "plan"):
             np.testing.assert_allclose(fc(xs, backend=be), expect, rtol=1e-12)
         run_both(fc, xs)
 
@@ -332,7 +332,7 @@ def test_scan_nonidentity_ne_all_backends():
     xs = rng.standard_normal(5)
     for fn, expect in ((f, 4.0 + np.cumsum(xs)), (g, 4.0 + np.cumsum(2.0 * xs))):
         fc = rp.compile(rp.trace_like(fn, (xs,)))
-        for be in ("ref", "vec", "plan"):
+        for be in ("ref", "plan"):
             np.testing.assert_allclose(fc(xs, backend=be), expect, rtol=1e-12)
 
 
@@ -345,7 +345,7 @@ def test_fused_reduce_nonidentity_ne_through_fusion():
     xs = rng.standard_normal(6)
     fc = rp.compile(rp.trace_like(f, (xs,)))
     assert count_soacs(fc.fun) == 1  # fused
-    for be in ("ref", "vec", "plan"):
+    for be in ("ref", "plan"):
         np.testing.assert_allclose(
             fc(xs, backend=be), 10.0 + (xs * xs).sum(), rtol=1e-12
         )

@@ -138,7 +138,7 @@ _BATTERY = [
 @pytest.mark.parametrize("name,f,ex,args", _BATTERY, ids=[b[0] for b in _BATTERY])
 def test_specialized_generic_bitwise_parity_battery(name, f, ex, args):
     fc = rp.compile(rp.trace_like(f, ex))
-    run_both(fc, *args)  # ref/vec/plan/shard agreement on these programs
+    run_both(fc, *args)  # ref/plan/shard agreement on these programs
     fun = fc.fun
     generic = compile_plan(fun)
     spec = compile_plan(fun, args)
@@ -325,8 +325,8 @@ def test_bounded_lru_default_is_returned_on_miss():
 def test_default_backend_honours_env_and_validates(monkeypatch):
     monkeypatch.delenv("REPRO_BACKEND", raising=False)
     assert default_backend() == "plan"
-    monkeypatch.setenv("REPRO_BACKEND", "vec")
-    assert default_backend() == "vec"
+    monkeypatch.setenv("REPRO_BACKEND", "ref")
+    assert default_backend() == "ref"
     monkeypatch.setenv("REPRO_BACKEND", "not-a-backend")
     with pytest.raises(ReproError, match="registered backends"):
         default_backend()

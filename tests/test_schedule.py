@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro as rp
-from repro.exec.plan import plan_for
+from repro.exec.plan import clear_plan_cache, plan_for
 from repro.exec.shard import (
     reset_shard_stats,
     shard_stats,
@@ -167,7 +167,7 @@ def test_fuzz_legal_schedules_bitwise_equal_default(seed, n, dseed, si):
     forced = Compiled(
         apply_schedule(base.fun, _SCHEDULES[si], strict=False), optimize=False
     )
-    for be in ("ref", "vec", "plan", "codegen"):
+    for be in ("ref", "plan"):
         np.testing.assert_array_equal(
             np.asarray(base(xs, backend=be)),
             np.asarray(forced(xs, backend=be)),
@@ -228,7 +228,7 @@ def test_env_schedule_applies_leniently(monkeypatch):
     forced = rp.compile(fun)
     stms = [s.exp for s in forced.fun.body.stms if isinstance(s.exp, SCHEDULABLE)]
     assert any(e.schedule == (Sequential(8),) for e in stms)
-    for be in ("plan", "codegen"):
+    for be in ("ref", "plan"):
         np.testing.assert_array_equal(
             np.asarray(base(xs, backend=be)), np.asarray(forced(xs, backend=be))
         )
@@ -290,7 +290,6 @@ def test_process_degradation_is_bounded_and_resettable(monkeypatch):
 
 def test_process_mode_ships_codegen_source(monkeypatch):
     monkeypatch.setenv("REPRO_SHARD_MODE", "process")
-    monkeypatch.setenv("REPRO_SHARD_EMITTER", "codegen")
     monkeypatch.setenv("REPRO_SHARD_WORKERS", "2")
     monkeypatch.setenv("REPRO_SHARD_MIN_CHUNK", "4")
     monkeypatch.setenv("REPRO_SHARD_SHM_MIN", "0")
@@ -321,10 +320,12 @@ def test_codegen_payload_round_trip():
     xs = np.linspace(0.0, 1.0, 17)
     fc = rp.compile(_trace(_reduce_prog, xs))
     payload = codegen_payload(fc.fun)
-    # memoised by identity
+    # memoised beside the plan cache, and dropped with it
     assert codegen_payload(fc.fun) is payload
+    clear_plan_cache()
+    assert codegen_payload(fc.fun) is not payload
     shipped = ShippedCodegenPlan(pickle.loads(pickle.dumps(payload)))
-    want = plan_for(fc.fun, (xs,), None, emitter="codegen").run((xs,))
+    want = plan_for(fc.fun, (xs,), None).run((xs,))
     got = shipped.run((xs,))
     assert len(want) == len(got)
     for a, b in zip(want, got):

@@ -11,7 +11,7 @@ import pytest
 
 import repro as rp
 
-BACKENDS = ("ref", "vec", "plan")
+BACKENDS = ("ref", "plan")
 
 #: Each case builds constants the tracer cannot evaluate eagerly (via
 #: ``x*0``) so the fold happens in ``simplify``, not at trace time.

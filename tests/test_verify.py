@@ -4,7 +4,7 @@ Each test programmatically corrupts well-formed IR — the exact corruptions a
 buggy rewrite pass could produce — and asserts the verifier rejects it with a
 ``VerifyError`` naming the pass and (where applicable) the offending
 statement.  The last section runs the fuzz-program corpus end-to-end under
-``REPRO_VERIFY=full`` on all four executors and checks the cached-plan /
+``REPRO_VERIFY=full`` on every executor and checks the cached-plan /
 counter behaviour of the hooks.
 """
 import numpy as np
@@ -44,6 +44,7 @@ from repro.ir.verify import VERIFY_STATS
 from repro.exec.lower import ILoop, IRun, PlanIR, Ref, lower_fun
 from repro.exec.plan import clear_plan_cache, plan_cache_stats, plan_for
 from repro.exec.verify_plan import verify_codegen_source, verify_plan_ir
+from repro.util import ReproError
 from helpers import run_both
 from test_fuzz_programs import _gen_program
 
@@ -352,7 +353,7 @@ def test_codegen_real_source_passes_and_counts(monkeypatch):
     clear_plan_cache()
     fun = rp.trace_like(lambda x: rp.sum(rp.map(lambda v: v * v, x)), (np.ones(5),))
     before = VERIFY_STATS["codegen_checks"]
-    p = plan_for(fun, (np.ones(5),), None, emitter="codegen")
+    p = plan_for(fun, (np.ones(5),), None)
     assert VERIFY_STATS["codegen_checks"] == before + 1
     (r,) = p.run((np.arange(5.0),))
     assert r == pytest.approx(np.sum(np.arange(5.0) ** 2))
@@ -379,9 +380,10 @@ def test_off_mode_runs_no_checks(monkeypatch):
     assert dict(VERIFY_STATS) == before
 
 
-def test_unknown_mode_means_off(monkeypatch):
+def test_unknown_mode_raises(monkeypatch):
     monkeypatch.setenv("REPRO_VERIFY", "paranoid")
-    assert verify_mode() == "off"
+    with pytest.raises(ReproError, match=r"REPRO_VERIFY='paranoid': expected one of"):
+        verify_mode()
 
 
 def test_cached_plan_reuse_skips_reverification(monkeypatch):
@@ -427,7 +429,7 @@ def test_verify_failures_counted():
 
 
 # ---------------------------------------------------------------------------
-# Fuzz corpus under REPRO_VERIFY=full on all four executors
+# Fuzz corpus under REPRO_VERIFY=full on every executor
 # ---------------------------------------------------------------------------
 
 
@@ -437,10 +439,8 @@ def test_fuzz_corpus_green_under_full_verification(seed, monkeypatch):
     prog = _gen_program(seed)
     xs = np.random.default_rng(seed).standard_normal(6) * 0.8
     fc = rp.compile(rp.trace_like(prog, (xs,)))  # verifies every opt pass
-    run_both(fc, xs)  # ref + vec agree
+    run_both(fc, xs)  # ref + plan + shard agree
     want = fc(xs)
     (got,) = plan_for(fc.fun, (xs,)).run((xs,))
-    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
-    (got,) = plan_for(fc.fun, (xs,), None, emitter="codegen").run((xs,))
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
     rp.grad(fc)(xs)  # jvp/vjp boundaries + post-AD optimization under full
