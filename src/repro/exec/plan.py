@@ -82,6 +82,7 @@ from ..util import BoundedLRU, ExecError, env_capacity
 from .lower import PlanIR, check_spec_sig, lower_fun, plan_schedules, spec_signature
 from .values import coerce_arg
 from .vector import AccBV, BV, _expand
+from .verify_plan import maybe_verify_codegen_source
 
 __all__ = [
     "Plan",
@@ -161,8 +162,6 @@ class Plan:
         # Layer-2 codegen sanity (ir/verify knob): the rendered module must
         # parse and reference nothing beyond its namespace.  Once per
         # compile; cached plans never re-check.
-        from .verify_plan import maybe_verify_codegen_source
-
         maybe_verify_codegen_source(fun.name, self.source, ns)
         with _obs_tracing.timed(
             "compile", cat="compile", fun=fun.name, emitter=self.emitter_name
